@@ -7,10 +7,8 @@ Subpackages by role:
     optimize  nested maximization of the exponent bound over (a, r, B)
     cli       command-line entry point
 
-The numeric hot path runs on a compiled extension when built, with a pure
-Python fallback selected at import (see sumdiff._backend.BACKEND_NAME).
+Everything is pure Python; numpy is imported only by the log-domain count.
 """
-from ._backend import BACKEND_NAME
 from .construct import (
     BoundReport,
     IntegerSet,
@@ -46,6 +44,9 @@ from .wcount import (
 )
 
 __version__ = "0.1.0"
+
+#: the numeric kernel, carried as ``backend`` in the optimize/table1 records
+BACKEND_NAME = "python"
 
 __all__ = [
     "BACKEND_NAME",

@@ -14,8 +14,7 @@ import math
 import sys
 import time
 
-from . import construct, optimize, wcount
-from ._backend import BACKEND_NAME
+from . import BACKEND_NAME, construct, optimize, wcount
 from .ratefn import DEFAULT_TOL, RateQuery, rate_I
 from .wcount import WParams
 
@@ -30,8 +29,9 @@ def _emit(command: str, parameters: dict, results, started: float) -> None:
         "results": results,
         "runtimeMillis": int((time.perf_counter() - started) * 1000),
     }
-    json.dump(record, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # serialize fully first, so a failure leaves no partial record on stdout
+    text = json.dumps(record, indent=2)
+    sys.stdout.write(text + "\n")
 
 
 def _cmd_count(args, started) -> int:
@@ -81,7 +81,7 @@ def _cmd_rate(args, started) -> int:
 def _cmd_bound(args, started) -> int:
     p = WParams(args.m, args.L, args.B)
     U = construct.build_U(p, args.cap)
-    report = construct.theta_bound_exact(U)
+    report = construct.theta_bound_exact(U, args.cap)
     if args.dump_set is not None:
         with open(args.dump_set, "w") as fh:
             fh.writelines(f"{u}\n" for u in U)
@@ -237,6 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact counts may run past the interpreter's default 4300-digit limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

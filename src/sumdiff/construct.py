@@ -9,16 +9,26 @@ U = g(W(m,L,B)) equal lattice counts:
     |U-U| = sum_k C(m,k) |W(k, L-k, B-1)| |W(m-k, L, B)|
 
 Both identities, and injectivity itself, are verified here by exhaustive
-pair enumeration at desk scale.  The legacy radix map f with weights
-w_0 = 1, w_k = 2L*w_{k-1} + 1 plays the same role for the unbounded sets
-V(m, L).
+pair enumeration at desk scale; the |U|^2 pairs are held to the same cap as
+an enumeration of W, checked before any pair is formed.  The legacy radix
+map f with weights w_0 = 1, w_k = 2L*w_{k-1} + 1 plays the same role for
+the unbounded sets V(m, L).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .wcount import CountValue, LatticeVector, WParams, binomial, count_W, enumerate_W
+from .wcount import (
+    CountValue,
+    EnumerationCapError,
+    LatticeVector,
+    WParams,
+    binomial,
+    count_W,
+    enum_cap,
+    enumerate_W,
+)
 
 #: strictly increasing tuple of integers
 IntegerSet = tuple[int, ...]
@@ -83,17 +93,25 @@ def build_U(p: WParams, cap: int | None = None) -> IntegerSet:
     return U
 
 
-def sumset(U: IntegerSet) -> IntegerSet:
+def _check_pairs(n: int, cap: int | None) -> None:
+    cap = enum_cap(cap)
+    if n * n > cap:
+        raise EnumerationCapError(n * n, cap, "pairs")
+
+
+def sumset(U: IntegerSet, cap: int | None = None) -> IntegerSet:
     """{u + v : u, v in U} over all pairs, deduplicated and sorted."""
+    _check_pairs(len(U), cap)
     return tuple(sorted({u + v for u in U for v in U}))
 
 
-def diffset(U: IntegerSet) -> IntegerSet:
+def diffset(U: IntegerSet, cap: int | None = None) -> IntegerSet:
     """{u - v : u, v in U}; symmetric about 0."""
+    _check_pairs(len(U), cap)
     return tuple(sorted({u - v for u in U for v in U}))
 
 
-def theta_bound_exact(U: IntegerSet) -> BoundReport:
+def theta_bound_exact(U: IntegerSet, cap: int | None = None) -> BoundReport:
     """Exponent bound 1 + log(|U-U|/|U+U|) / log(2*max(U)+1) for a concrete U."""
     if len(U) == 0:
         raise ValueError("U must be nonempty")
@@ -101,8 +119,8 @@ def theta_bound_exact(U: IntegerSet) -> BoundReport:
         raise ValueError("U must contain zero")
     if max(U) < 1:
         raise ValueError("U = {0} has no meaningful scale (log q = 0)")
-    d = len(diffset(U))
-    s = len(sumset(U))
+    d = len(diffset(U, cap))
+    s = len(sumset(U, cap))
     q = 2 * max(U) + 1
     theta = 1.0 + (math.log(d) - math.log(s)) / math.log(q)
     return BoundReport(CountValue.of(d), CountValue.of(s), q, theta)
@@ -110,7 +128,7 @@ def theta_bound_exact(U: IntegerSet) -> BoundReport:
 
 def verify_sumset_identity(p: WParams, cap: int | None = None) -> bool:
     """Check |U+U| = |W(m, 2L, 2B)| by exhaustive pair enumeration."""
-    lhs = len(sumset(build_U(p, cap)))
+    lhs = len(sumset(build_U(p, cap), cap))
     rhs = count_W(WParams(p.m, 2 * p.L, 2 * p.B)).exact
     return lhs == rhs
 
@@ -122,7 +140,7 @@ def verify_diffset_identity(p: WParams, cap: int | None = None) -> bool:
     """
     if p.B < 1:
         raise ValueError("the convolution formula needs B >= 1")
-    lhs = len(diffset(build_U(p, cap)))
+    lhs = len(diffset(build_U(p, cap), cap))
     rhs = 0
     for k in range(min(p.m, p.L) + 1):
         rhs += (
@@ -154,6 +172,7 @@ def verify_injectivity(p: WParams, encoding: str = "g", cap: int | None = None) 
         images = [encode_f(x, p.L) for x in vectors]
     else:
         raise ValueError(f"encoding must be 'g' or 'f', got {encoding!r}")
+    _check_pairs(len(vectors), cap)
 
     vec_sums = set()
     vec_diffs = set()

@@ -16,8 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from ._backend import kernel
-from .ratefn import RateQuery, rate_I
+from .ratefn import RateQuery, _rate_value, rate_I
 
 #: tilt-solve tolerance used inside the objective, independent of eps
 DEFAULT_RATE_TOL = 1e-12
@@ -26,6 +25,9 @@ DEFAULT_RATE_TOL = 1e-12
 TABLE_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
 
 _LOG2 = math.log(2.0)
+_SQRT_EPS = math.sqrt(2.220446049250313e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_BRENT_MAXFUN = 500
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,126 @@ def theta_objective(B: int, r: float, a: float, tol: float = DEFAULT_RATE_TOL) -
     return ThetaPoint(B, r, a, terms, theta_minus_1)
 
 
+def _brent_min(f, x1: float, x2: float, xatol: float, maxfun: int = _BRENT_MAXFUN):
+    """Bracketed 1-D minimizer: golden section with parabolic acceleration.
+
+    Classic Forsythe-Malcolm-Moler bounded search.  Never evaluates the
+    endpoints; stops once the best point sits within
+    2*(sqrt(machine eps)*|x| + xatol/3) of the bracket midpoint.
+
+    Returns (x_min, f_min, evaluations).
+    """
+    a, b = x1, x2
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = f(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:
+            # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if (abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = p / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = _sign(xm - xf) + (1.0 if xm == xf else 0.0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+
+        si = _sign(rat) + (1.0 if rat == 0.0 else 0.0)
+        x = xf + si * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx, num
+
+
+def _sign(v: float) -> float:
+    if v > 0.0:
+        return 1.0
+    if v < 0.0:
+        return -1.0
+    return 0.0
+
+
+def _log_diff_rate(a: float, r: float, B: int, tol: float) -> float:
+    """The first six numerator terms, accumulated in NumeratorTerms order.
+
+    log2 + ar*log(B) + (1-ar)*log(B+1) - I(ar,1) - ar*I((1-a)/a, B-1)
+        - (1-ar)*I(r/(1-ar), B)
+
+    ThetaPoint.recompose relies on the same order to reproduce a search's
+    value bit for bit.
+    """
+    ar = a * r
+    v = _LOG2
+    v += ar * math.log(B)
+    v += (1.0 - ar) * math.log(B + 1)
+    v -= _rate_value(ar, 1, tol)[0]
+    v -= ar * _rate_value((1.0 - a) / a, B - 1, tol)[0]
+    v -= (1.0 - ar) * _rate_value(r / (1.0 - ar), B, tol)[0]
+    return v
+
+
+def _search_a(B: int, r: float, eps: float, tol: float) -> tuple[float, float, int]:
+    """(a_star, numerator value, evaluations) of the a-search at fixed (B, r).
+
+    Endpoints are inset by max(eps, 1e-12): a=0 and a=1/r are poles of the
+    rate arguments.
+    """
+    inset = max(eps, 1e-12)
+    lo = inset
+    hi = min(1.0, 1.0 / r) - inset
+    a_star, neg, num = _brent_min(lambda a: -_log_diff_rate(a, r, B, tol), lo, hi, eps)
+    value = (-neg - math.log(2 * B + 1)) + _rate_value(2.0 * r, 2 * B, tol)[0]
+    return a_star, value, num
+
+
 def maximize_a(B: int, r: float, eps: float, tol: float = DEFAULT_RATE_TOL) -> tuple[float, float]:
     """Maximize the bound numerator in a at fixed (B, r).
 
@@ -122,16 +244,31 @@ def maximize_a(B: int, r: float, eps: float, tol: float = DEFAULT_RATE_TOL) -> t
         raise ValueError(f"r must be a positive finite real, got {r!r}")
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps!r}")
-    a_star, value, _ = kernel.maximize_a(B, r, eps, tol)
+    a_star, value, _ = _search_a(B, r, eps, tol)
     return a_star, value
 
 
 def maximize_r(B: int, eps: float, tol: float = DEFAULT_RATE_TOL) -> OptimizationReport:
-    """Maximize over r in [0.5, 2] of the inner a-maximum at tolerance eps."""
+    """Maximize over r in [0.5, 2] of the inner a-maximum at tolerance eps.
+
+    The inner value is a non-smooth function of r at coarse eps, so the outer
+    search is the same derivative-free bracketed scheme.  evaluations counts
+    the objective evaluations of every inner search, the final one included.
+    """
     _check_B(B)
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps!r}")
-    r_star, a_star, value, evaluations = kernel.maximize_r(B, eps, tol)
+    evaluations = 0
+
+    def outer(r):
+        nonlocal evaluations
+        _, value, num = _search_a(B, r, eps, tol)
+        evaluations += num
+        return -value
+
+    r_star, _, _ = _brent_min(outer, 0.5, 2.0, eps)
+    a_star, value, num = _search_a(B, r_star, eps, tol)
+    evaluations += num
     margin = 10.0 * max(eps, 1e-8)
     if r_star - 0.5 < margin or 2.0 - r_star < margin:
         warnings.warn(f"r* = {r_star} sits at the edge of [0.5, 2] for B={B}", stacklevel=2)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-import numpy as np
-
 #: coordinate vector of a lattice point
 LatticeVector = tuple[int, ...]
 
@@ -29,10 +27,17 @@ EXACT_DP_CELL_LIMIT = 1_000_000
 class EnumerationCapError(ValueError):
     """Raised when an enumeration would exceed the configured cap."""
 
-    def __init__(self, count: int, cap: int):
+    def __init__(self, count: int, cap: int, what: str = "vectors"):
         self.count = count
         self.cap = cap
-        super().__init__(f"enumeration of {count} vectors exceeds the cap of {cap}")
+        super().__init__(f"enumeration of {count} {what} exceeds the cap of {cap}")
+
+
+def enum_cap(cap: int | None = None) -> int:
+    """The given cap, else SUMDIFF_ENUM_CAP, else the default of 10^7."""
+    if cap is None:
+        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    return cap
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,8 @@ def _log_count(m: int, L: int, B: int) -> float:
     Each new row is a width-(B+1) window log-sum-exp over the previous row,
     stabilized by the columnwise maximum.
     """
+    import numpy as np
+
     L = min(L, m * B)
     width = min(B, L)
     row = np.zeros(L + 1)
@@ -144,8 +151,7 @@ def enumerate_W(p: WParams, cap: int | None = None) -> list[LatticeVector]:
     The cap (default 10^7, overridable via the SUMDIFF_ENUM_CAP environment
     variable) is checked against the exact count before any vector is built.
     """
-    if cap is None:
-        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    cap = enum_cap(cap)
     n = _count(p.m, p.L, p.B)
     if n > cap:
         raise EnumerationCapError(n, cap)

@@ -2,10 +2,18 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from sumdiff import wcount
 from sumdiff.cli import main
+from sumdiff.wcount import CountValue
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -119,3 +127,33 @@ def test_cap_exceeded_exit_2(capsys):
     code, _, err = run(capsys, "enumerate", "--m", "9", "--L", "20", "--B", "3", "--cap", "10")
     assert code == 2
     assert "cap" in err
+
+
+def test_bound_pair_cap_exit_2(capsys):
+    # |W(10, 8, 5)| = 43,098 vectors pass the cap; their 1.86e9 pairs must not
+    code, out, err = run(capsys, "bound", "--m", "10", "--L", "8", "--B", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "pairs" in err and "cap" in err
+
+
+def test_count_past_int_digit_limit(capsys, monkeypatch):
+    monkeypatch.setattr(wcount, "count_W", lambda p: CountValue.of(10**5000))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        code, out, err = run(capsys, "count", "--m", "1", "--L", "1", "--B", "1")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert code == 0, err
+    record = json.loads(out, parse_int=str)
+    assert record["results"]["count"] == "1" + "0" * 5000
+
+
+def test_import_cli_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, sumdiff.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.strip() == "False"

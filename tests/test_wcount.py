@@ -139,7 +139,7 @@ class TestLogCountRate:
         assert math.isclose(log_count_rate(1, 2.0, 1), math.log(2), rel_tol=1e-15)
         assert math.isclose(log_count_rate(2, 1.0, 1), math.log(4) / 2, rel_tol=1e-15)
 
-    def test_backends_agree(self):
+    def test_methods_agree(self):
         for m, r, B in [(40, 0.7, 2), (100, 0.5, 2), (60, 1.3, 3), (25, 2.0, 1)]:
             exact = log_count_rate(m, r, B, method="exact")
             logdp = log_count_rate(m, r, B, method="log")
