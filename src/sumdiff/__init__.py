@@ -1,13 +1,14 @@
 """Sumset vs difference-set growth: counting, construction, and the exponent bound.
 
 Subpackages by role:
-    wcount    exact counting/enumeration of the bounded simplex sets W(m, L, B)
+    wcount    exact counting (inclusion-exclusion) and enumeration of the
+              bounded simplex sets W(m, L, B)
     construct digit-map integer sets, sumsets/difference sets, identity checks
     ratefn    large-deviation rate function I(c, B) via its convex dual
     optimize  nested maximization of the exponent bound over (a, r, B)
     cli       command-line entry point
 
-Everything is pure Python; numpy is imported only by the log-domain count.
+Everything is pure Python, with no runtime dependencies.
 """
 from .construct import (
     BoundReport,

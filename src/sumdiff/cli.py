@@ -141,11 +141,7 @@ def _cmd_optimize(args, started) -> int:
 
 
 def _cmd_table1(args, started) -> int:
-    lo, hi = args.b_range
-    rows = []
-    for B in range(lo, hi + 1):
-        rows.append([optimize.maximize_r(B, eps, args.rate_tol) for eps in args.eps_list])
-        print(f"optimized B={B}", file=sys.stderr)
+    rows = optimize.table1(tuple(args.eps_list), args.b_range, args.rate_tol)
     if args.format == "csv":
         header = ["B"] + [f"eps={eps:g}" for eps in args.eps_list]
         sys.stdout.write(",".join(header) + "\n")
@@ -223,14 +219,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize the bound for one B")
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--rate-tol", type=float, default=optimize.DEFAULT_RATE_TOL)
+    p.add_argument("--rate-tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(run=_cmd_optimize)
 
     p = sub.add_parser("table1", help="the B x eps table of optima")
     p.add_argument("--eps-list", type=float, nargs="+", default=list(optimize.TABLE_EPS))
     p.add_argument("--b-range", type=_parse_b_range, default=(3, 10))
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--rate-tol", type=float, default=optimize.DEFAULT_RATE_TOL)
+    p.add_argument("--rate-tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(run=_cmd_table1)
 
     return parser
@@ -245,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         return args.run(args, started)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,10 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .ratefn import RateQuery, _rate_value, rate_I
-
-#: tilt-solve tolerance used inside the objective, independent of eps
-DEFAULT_RATE_TOL = 1e-12
+from .ratefn import DEFAULT_TOL, RateQuery, _rate_value, rate_I
 
 #: tolerance columns of the reference table
 TABLE_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
@@ -84,7 +81,7 @@ def _check_B(B) -> None:
         raise ValueError(f"B must be a positive integer, got {B!r}")
 
 
-def theta_objective(B: int, r: float, a: float, tol: float = DEFAULT_RATE_TOL) -> ThetaPoint:
+def theta_objective(B: int, r: float, a: float, tol: float = DEFAULT_TOL) -> ThetaPoint:
     """Evaluate the bound at a single point (B, r, a).
 
     a must lie strictly inside (0, min(1, 1/r)): both endpoints are poles of
@@ -233,7 +230,7 @@ def _search_a(B: int, r: float, eps: float, tol: float) -> tuple[float, float, i
     return a_star, value, num
 
 
-def maximize_a(B: int, r: float, eps: float, tol: float = DEFAULT_RATE_TOL) -> tuple[float, float]:
+def maximize_a(B: int, r: float, eps: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Maximize the bound numerator in a at fixed (B, r).
 
     Returns (a_star, numerator value).  Dividing the value by log(2B+1)
@@ -248,7 +245,7 @@ def maximize_a(B: int, r: float, eps: float, tol: float = DEFAULT_RATE_TOL) -> t
     return a_star, value
 
 
-def maximize_r(B: int, eps: float, tol: float = DEFAULT_RATE_TOL) -> OptimizationReport:
+def maximize_r(B: int, eps: float, tol: float = DEFAULT_TOL) -> OptimizationReport:
     """Maximize over r in [0.5, 2] of the inner a-maximum at tolerance eps.
 
     The inner value is a non-smooth function of r at coarse eps, so the outer
@@ -279,7 +276,7 @@ def maximize_r(B: int, eps: float, tol: float = DEFAULT_RATE_TOL) -> Optimizatio
 def table1(
     eps_list: tuple[float, ...] = TABLE_EPS,
     b_range: tuple[int, int] = (3, 10),
-    tol: float = DEFAULT_RATE_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> list[list[OptimizationReport]]:
     """The reference table: one row per B, one column per eps.
 

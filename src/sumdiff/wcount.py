@@ -2,15 +2,15 @@
 
 W(m, L, B) is the set of vectors x in N^m with every coordinate <= B and
 coordinate sum <= L; V(m, L) = W(m, L, L) is the unbounded special case with
-|V(m, L)| = C(m+L, m).  Counts are exact arbitrary-precision integers; for
-large m a log-domain dynamic program provides the growth rate directly.
+|V(m, L)| = C(m+L, m).  Counts are exact arbitrary-precision integers, by
+inclusion-exclusion over the coordinates that exceed B; the finite-m growth
+rate is the logarithm of the same count.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator
 
 #: coordinate vector of a lattice point
@@ -18,10 +18,6 @@ LatticeVector = tuple[int, ...]
 
 ENUM_CAP_ENV = "SUMDIFF_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10_000_000
-
-#: switch from exact big-integer DP to the log-domain DP once
-#: m * min(L, m*B) exceeds this many cells
-EXACT_DP_CELL_LIMIT = 1_000_000
 
 
 class EnumerationCapError(ValueError):
@@ -73,45 +69,37 @@ class CountValue:
 
 
 def _count(m: int, L: int, B: int) -> int:
-    """|W(m, L, B)| by the coordinate-peeling recurrence.
+    """|W(m, L, B)| by inclusion-exclusion over the coordinates above B.
 
-    count(i, l) = sum_{j=0}^{min(B,l)} count(i-1, l-j) with count(0, .) = 1;
-    one rolling row over l, window sums via prefix sums, O(m*L) exact
-    big-integer operations.
+    |W(m, L, B)| = sum_k (-1)^k C(m, k) C(L - k(B+1) + m, m), over
+    k <= min(m, floor(L/(B+1))) after L is saturated at m*B.  Both binomials
+    are carried from term to term by small-integer factors: O(L) small
+    products and O(L/(B+1)) big-integer steps.
     """
     L = min(L, m * B)
-    row = [1] * (L + 1)
-    for _ in range(m):
-        prefix = list(accumulate(row))
-        row = [prefix[l] - (prefix[l - B - 1] if l > B else 0) for l in range(L + 1)]
-    return row[L]
-
-
-def _log_count(m: int, L: int, B: int) -> float:
-    """log |W(m, L, B)| by the same recurrence in the log domain.
-
-    Each new row is a width-(B+1) window log-sum-exp over the previous row,
-    stabilized by the columnwise maximum.
-    """
-    import numpy as np
-
-    L = min(L, m * B)
-    width = min(B, L)
-    row = np.zeros(L + 1)
-    for _ in range(m):
-        stack = np.full((width + 1, L + 1), -np.inf)
-        for j in range(width + 1):
-            stack[j, j:] = row[: L + 1 - j]
-        mx = stack.max(axis=0)
-        row = mx + np.log(np.exp(stack - mx).sum(axis=0))
-    return float(row[L])
+    s = B + 1
+    a = 1  # C(m, k)
+    n = L + m  # C(n, m) is the k-th term's unbounded count
+    b = math.comb(n, m)
+    total = b
+    for k in range(1, min(m, L // s) + 1):
+        a = a * (m - k + 1) // k
+        # C(n - s, m) = C(n, m) * prod_{j<s} (n - m - j) / (n - j); all factors >= 1
+        num = den = 1
+        for j in range(s):
+            num *= n - m - j
+            den *= n - j
+        b = b * num // den
+        n -= s
+        total += -a * b if k & 1 else a * b
+    return total
 
 
 def count_W(p: WParams) -> CountValue:
-    """Exact |W(m, L, B)|.
+    """Exact |W(m, L, B)| by inclusion-exclusion (see ``_count``).
 
-    Saturates the sum bound at m*B first (counts are invariant under that
-    replacement), then runs the prefix-sum DP.
+    Saturates the sum bound at m*B first; counts are invariant under that
+    replacement.
     """
     return CountValue.of(_count(p.m, p.L, p.B))
 
@@ -158,12 +146,11 @@ def enumerate_W(p: WParams, cap: int | None = None) -> list[LatticeVector]:
     return list(_vectors(p.m, p.L, p.B))
 
 
-def log_count_rate(m: int, r: float, B: int, method: str = "auto") -> float:
+def log_count_rate(m: int, r: float, B: int) -> float:
     """log |W(m, floor(r*m), B)| / m, the finite-m growth rate.
 
-    Uses the exact big-integer DP while m * min(floor(r*m), m*B) stays within
-    EXACT_DP_CELL_LIMIT, the log-domain DP beyond that.  ``method`` may force
-    "exact" or "log".
+    The logarithm of the exact count; it tends to log(B+1) - I(r, B) as m
+    grows.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
@@ -171,11 +158,4 @@ def log_count_rate(m: int, r: float, B: int, method: str = "auto") -> float:
         raise ValueError(f"B must be a positive integer, got {B!r}")
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
-    L = math.floor(r * m)
-    if method == "auto":
-        method = "exact" if m * min(L, m * B) <= EXACT_DP_CELL_LIMIT else "log"
-    if method == "exact":
-        return math.log(_count(m, L, B)) / m
-    if method == "log":
-        return _log_count(m, L, B) / m
-    raise ValueError(f"method must be 'auto', 'exact' or 'log', got {method!r}")
+    return math.log(_count(m, math.floor(r * m), B)) / m

@@ -70,6 +70,16 @@ def test_bound_and_dump_set(capsys, tmp_path):
     assert path.read_text() == "0\n1\n3\n4\n"
 
 
+def test_bound_dump_set_unwritable_exit_2(capsys, tmp_path):
+    # a directory cannot be opened for writing
+    code, out, err = run(
+        capsys, "bound", "--m", "2", "--L", "2", "--B", "1", "--dump-set", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_passes(capsys):
     code, record = run_json(capsys, "verify", "--max-m", "3", "--max-L", "3", "--max-B", "2")
     assert code == 0
@@ -108,6 +118,14 @@ def test_table1_csv_byte_identical_across_runs(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("b_range", ["5..3", "11..11"])
+def test_table1_rejects_b_range_exit_2(capsys, b_range):
+    code, out, err = run(capsys, "table1", "--b-range", b_range, "--eps-list", "1e-4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "b_range" in err
 
 
 def test_usage_error_exit_2(capsys):
@@ -152,8 +170,14 @@ def test_count_past_int_digit_limit(capsys, monkeypatch):
 
 def test_import_cli_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, sumdiff.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+    script = (
+        "import sys, sumdiff.cli; print('numpy' in sys.modules); "
+        # None in sys.modules makes any later `import numpy` raise ImportError
+        "sys.modules['numpy'] = None; import sumdiff; print(sumdiff.log_count_rate(3000, 1.0, 3))"
     )
-    assert done.stdout.strip() == "False"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
+    )
+    loaded, rate = done.stdout.split()
+    assert loaded == "False"
+    assert math.isfinite(float(rate))

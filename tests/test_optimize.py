@@ -4,7 +4,6 @@ import math
 import pytest
 
 from sumdiff.optimize import (
-    DEFAULT_RATE_TOL,
     TABLE_EPS,
     OptimizationReport,
     maximize_a,
@@ -12,7 +11,7 @@ from sumdiff.optimize import (
     table1,
     theta_objective,
 )
-from sumdiff.ratefn import RateQuery, rate_I
+from sumdiff.ratefn import DEFAULT_TOL, RateQuery, rate_I
 
 # reference column at eps = 1e-10 (fourth column of the published table)
 REFERENCE_1E10 = {
@@ -162,7 +161,7 @@ class TestTable1:
 
 def test_default_eps_columns_match_published_layout():
     assert TABLE_EPS == (1e-4, 1e-6, 1e-8, 1e-10)
-    assert DEFAULT_RATE_TOL == 1e-12
+    assert DEFAULT_TOL == 1e-12
     assert set(dataclasses.asdict(maximize_r(3, 1e-4)).keys()) == {
         "B",
         "epsilon",

@@ -1,10 +1,11 @@
 import math
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sumdiff.ratefn import RateQuery, log_W_rate_limit
 from sumdiff.wcount import (
     CountValue,
     EnumerationCapError,
@@ -19,6 +20,21 @@ from sumdiff.wcount import (
 def brute_count(m, L, B):
     """Independent oracle: full cartesian enumeration."""
     return sum(1 for x in product(range(B + 1), repeat=m) if sum(x) <= L)
+
+
+def dp_count(m, L, B):
+    """Independent oracle: the coordinate-peeling recurrence.
+
+    count(i, l) = sum_{j=0}^{min(B,l)} count(i-1, l-j) with count(0, .) = 1,
+    one rolling row over l with window sums by prefix sums: O(m*L)
+    big-integer additions.
+    """
+    L = min(L, m * B)
+    row = [1] * (L + 1)
+    for _ in range(m):
+        prefix = list(accumulate(row))
+        row = [prefix[l] - (prefix[l - B - 1] if l > B else 0) for l in range(L + 1)]
+    return row[L]
 
 
 def pascal(m, k):
@@ -50,6 +66,13 @@ class TestCountW:
                 for B in range(4):
                     p = WParams(m, L, B)
                     assert count_W(p).exact == brute_count(m, L, B), (m, L, B)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 60), st.integers(0, 200), st.integers(0, 12))
+    @example(400, 400, 3)
+    @example(300, 1000, 7)
+    def test_against_dp(self, m, L, B):
+        assert count_W(WParams(m, L, B)).exact == dp_count(m, L, B)
 
     def test_log_value_consistent(self):
         cv = count_W(WParams(6, 9, 3))
@@ -139,17 +162,12 @@ class TestLogCountRate:
         assert math.isclose(log_count_rate(1, 2.0, 1), math.log(2), rel_tol=1e-15)
         assert math.isclose(log_count_rate(2, 1.0, 1), math.log(4) / 2, rel_tol=1e-15)
 
-    def test_methods_agree(self):
-        for m, r, B in [(40, 0.7, 2), (100, 0.5, 2), (60, 1.3, 3), (25, 2.0, 1)]:
-            exact = log_count_rate(m, r, B, method="exact")
-            logdp = log_count_rate(m, r, B, method="log")
-            assert abs(exact - logdp) < 1e-9
-
-    def test_auto_switches_to_log_dp(self):
-        # m * L_eff just past the exact-DP limit must still answer
-        value = log_count_rate(1100, 1.0, 2, method="auto")
-        assert math.isfinite(value)
-        assert abs(value - log_count_rate(1100, 1.0, 2, method="log")) == 0.0
+    def test_log_of_exact_count_at_large_m(self):
+        for m, r, B in [(1100, 1.0, 2), (3000, 1.0, 3)]:
+            exact = count_W(WParams(m, math.floor(r * m), B)).exact
+            assert log_count_rate(m, r, B) == math.log(exact) / m
+        limit = log_W_rate_limit(RateQuery(1.0, 3))
+        assert abs(log_count_rate(10_000, 1.0, 3) - limit) < abs(log_count_rate(800, 1.0, 3) - limit)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,8 +176,6 @@ class TestLogCountRate:
             log_count_rate(5, -1.0, 2)
         with pytest.raises(ValueError):
             log_count_rate(5, 1.0, 0)
-        with pytest.raises(ValueError):
-            log_count_rate(5, 1.0, 2, method="bogus")
 
 
 def test_count_value_of_zero():
