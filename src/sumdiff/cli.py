@@ -29,8 +29,9 @@ def _emit(command: str, parameters: dict, results, started: float) -> None:
         "results": results,
         "runtimeMillis": int((time.perf_counter() - started) * 1000),
     }
-    # serialize fully first, so a failure leaves no partial record on stdout
-    text = json.dumps(record, indent=2)
+    # serialize fully first, so a failure leaves no partial record on stdout;
+    # a non-finite float raises ValueError (exit 2) rather than printing NaN
+    text = json.dumps(record, indent=2, allow_nan=False)
     sys.stdout.write(text + "\n")
 
 

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .ratefn import DEFAULT_TOL, RateQuery, _rate_value, rate_I
+from .ratefn import DEFAULT_TOL, RateQuery, _rate_value, check_tol, rate_I
 
 #: tolerance columns of the reference table
 TABLE_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
@@ -81,6 +81,12 @@ def _check_B(B) -> None:
         raise ValueError(f"B must be a positive integer, got {B!r}")
 
 
+def _check_eps(eps) -> None:
+    # the a-bracket [eps, min(1, 1/r) - eps] is empty for eps >= 0.25 at r = 2
+    if not 0.0 < eps < 0.25:
+        raise ValueError(f"eps must be a real in (0, 0.25), got {eps!r}")
+
+
 def theta_objective(B: int, r: float, a: float, tol: float = DEFAULT_TOL) -> ThetaPoint:
     """Evaluate the bound at a single point (B, r, a).
 
@@ -89,6 +95,7 @@ def theta_objective(B: int, r: float, a: float, tol: float = DEFAULT_TOL) -> The
     zero (single-point support).
     """
     _check_B(B)
+    check_tol(tol)
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
     if not 0.0 < a < min(1.0, 1.0 / r):
@@ -239,8 +246,10 @@ def maximize_a(B: int, r: float, eps: float, tol: float = DEFAULT_TOL) -> tuple[
     _check_B(B)
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_eps(eps)
+    if not eps < 0.5 * min(1.0, 1.0 / r):
+        raise ValueError(f"eps={eps!r} leaves no a-bracket [eps, min(1, 1/r) - eps] at r={r!r}")
+    check_tol(tol)
     a_star, value, _ = _search_a(B, r, eps, tol)
     return a_star, value
 
@@ -253,8 +262,8 @@ def maximize_r(B: int, eps: float, tol: float = DEFAULT_TOL) -> OptimizationRepo
     the objective evaluations of every inner search, the final one included.
     """
     _check_B(B)
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_eps(eps)
+    check_tol(tol)
     evaluations = 0
 
     def outer(r):
@@ -288,4 +297,7 @@ def table1(
     lo, hi = b_range
     if not (1 <= lo <= hi <= 10):
         raise ValueError(f"b_range must satisfy 1 <= lo <= hi <= 10, got {b_range!r}")
+    for eps in eps_list:
+        _check_eps(eps)
+    check_tol(tol)
     return [[maximize_r(B, eps, tol) for eps in eps_list] for B in range(lo, hi + 1)]

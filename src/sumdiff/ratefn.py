@@ -2,7 +2,9 @@
 
 I(c, B) is zero for c >= B/2 (the event is typical) and otherwise the
 Legendre transform sup_t (t*c - log((1 + e^t + ... + e^{Bt})/(B+1))),
-attained at the negative tilt t* where the tilted mean equals c.  It governs
+attained at the negative tilt t* where the tilted mean equals c.  t* is
+found by a safeguarded Newton iteration whose derivative is the tilted
+variance (d/dt tilted_mean = Var_t); B = 1 has a closed form.  It governs
 the exponential decay of the probability that m uniform draws sum to at most
 c*m, hence the growth rate of the bounded simplex counts:
 
@@ -13,8 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-#: bisection tolerance on the tilt; fixed independently of any outer search
+#: rate-solve tolerance: the tilt t* is found to about this absolute
+#: accuracy; fixed independently of any outer search
 DEFAULT_TOL = 1e-12
+
+#: hard cap on the steps of one rate solve
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,9 @@ class RateResult:
 
     t_star is the optimal tilt: None on the zero branch (no solve), -inf for
     c = 0 (supremum approached only in the limit), a finite negative number
-    for interior c.
+    for interior c.  iterations counts the solver's steps (0 for the closed
+    forms) and residual is |tilted_mean(t_star, B) - c| at the returned
+    t_star.
     """
 
     value: float
@@ -51,85 +59,98 @@ class RateResult:
     residual: float
 
 
-def _log_mgf(t: float, B: int) -> float:
-    # The max exponent max(0, B*t) is shifted out before exponentiating, so
-    # the sum stays in range for any representable t; underflow of far terms
-    # is harmless.
-    shift = B * t if t > 0.0 else 0.0
-    s = 0.0
-    for j in range(B + 1):
-        s += math.exp(j * t - shift)
-    return shift + math.log(s) - math.log(B + 1)
+def _moments(t: float, B: int) -> tuple[float, float, float]:
+    """(mean, variance, log-MGF) of the tilted distribution, in one pass.
 
-
-def _tilted_mean(t: float, B: int) -> float:
+    The max exponent max(0, B*t) is shifted out before exponentiating, so
+    the sums stay in range for any representable t; underflow of far terms
+    is harmless.
+    """
     shift = B * t if t > 0.0 else 0.0
-    num = 0.0
-    den = 0.0
+    s0 = 0.0
+    s1 = 0.0
+    s2 = 0.0
     for j in range(B + 1):
         e = math.exp(j * t - shift)
-        den += e
-        num += j * e
-    return num / den
+        s0 += e
+        je = j * e
+        s1 += je
+        s2 += j * je
+    mean = s1 / s0
+    return mean, s2 / s0 - mean * mean, shift + math.log(s0) - math.log(B + 1)
 
 
 def _rate_value(c: float, B: int, tol: float) -> tuple[float, float, int, float]:
     """(value, t_star, iterations, residual) of I(c, B); t_star is NaN on the zero branch.
 
-    B == 0 is on the zero branch for every c.  For interior c the initial
-    bracket low end -2*log(B+1)/max(c, 0.01) is expanded geometrically until
-    it straddles the root.
+    B == 0 is on the zero branch for every c, and B == 1 has the closed
+    form I(c, 1) = log 2 - H(c) at t* = log(c/(1-c)).  Otherwise Newton's
+    method runs on tilted_mean(t) - c, whose derivative is the tilted
+    variance, from the smaller of the small-tilt guess (c - B/2)*12/(B(B+2))
+    and the small-c guess log(c).  Every evaluation tightens a bracket
+    [t_lo, 0] around the root; a step that leaves it is replaced by
+    bisection, or by doubling t while t_lo is still -inf.  The solve stops
+    once |tilted_mean(t) - c| <= tol*min(1, c), which puts t within about
+    tol of t* at every c > 0, or once the bracket admits no new point, or
+    after _MAX_ITER steps.  residual is |tilted_mean(t*) - c| at the
+    returned t*.
     """
     if B <= 0 or c >= 0.5 * B:
         return (0.0, math.nan, 0, 0.0)
     if c <= 0.0:
         return (math.log(B + 1), -math.inf, 0, 0.0)
-    iterations = 0
-    t_lo = -2.0 * math.log(B + 1) / max(c, 0.01)
-    while _tilted_mean(t_lo, B) >= c:
-        t_lo *= 2.0
-        iterations += 1
-        if t_lo < -1e306:
-            break
+    if B == 1:
+        t = math.log(c / (1.0 - c))
+        value = math.log(2.0) + c * math.log(c) + (1.0 - c) * math.log1p(-c)
+        return (max(value, 0.0), t, 0, abs(_moments(t, 1)[0] - c))
+    target = tol * min(1.0, c)
+    t_lo = -math.inf
     t_hi = 0.0
-    while t_hi - t_lo > tol:
-        t_mid = 0.5 * (t_lo + t_hi)
-        if t_mid == t_lo or t_mid == t_hi:
+    t = min((c - 0.5 * B) * 12.0 / (B * (B + 2)), math.log(c))
+    iterations = 0
+    while True:
+        mean, var, lmgf = _moments(t, B)
+        resid = mean - c
+        if abs(resid) <= target or iterations == _MAX_ITER:
             break
-        if _tilted_mean(t_mid, B) < c:
-            t_lo = t_mid
+        if resid < 0.0:
+            t_lo = t
         else:
-            t_hi = t_mid
+            t_hi = t
+        step = t - resid / var if var > 0.0 else -math.inf
+        if not t_lo < step < t_hi:
+            # safeguard: bisect, or double outward while t_lo is unknown
+            step = 2.0 * t if t_lo == -math.inf else 0.5 * (t_lo + t_hi)
+            if not t_lo < step < t_hi:
+                break
+        t = step
         iterations += 1
-    t_star = 0.5 * (t_lo + t_hi)
-    value = t_star * c - _log_mgf(t_star, B)
-    if value < 0.0:
-        value = 0.0
-    residual = abs(_tilted_mean(t_star, B) - c)
-    return (value, t_star, iterations, residual)
+    return (max(t * c - lmgf, 0.0), t, iterations, abs(resid))
 
 
 def log_mgf(t: float, B: int) -> float:
     """log of the mean of e^(j*t) over j = 0..B, stable for any finite t."""
     _check_t_B(t, B)
-    return _log_mgf(t, B)
+    return _moments(t, B)[2]
 
 
 def tilted_mean(t: float, B: int) -> float:
     """Mean of the tilted distribution; strictly increasing in t, B/2 at t=0."""
     _check_t_B(t, B)
-    return _tilted_mean(t, B)
+    return _moments(t, B)[0]
 
 
 def rate_I(q: RateQuery, tol: float = DEFAULT_TOL) -> RateResult:
     """I(c, B) via the dual solve.
 
-    c >= B/2 returns 0 without iterating; c = 0 returns log(B+1)
-    analytically; interior c solves tilted_mean(t, B) = c by bisection on
-    t in [t_lo, 0] and returns t*c - log_mgf(t*, B).
+    c >= B/2 returns 0 without iterating; c = 0 returns log(B+1) and
+    B = 1 returns log 2 - H(c), both analytically; other interior c solves
+    tilted_mean(t, B) = c by safeguarded Newton on t < 0 and returns
+    t*c - log_mgf(t*, B).  tol must be finite and positive: the solve stops
+    once |tilted_mean(t, B) - c| <= tol*min(1, c), so t* is accurate to
+    about tol even for c far below tol.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    check_tol(tol)
     value, t_star, iterations, residual = _rate_value(q.c, q.B, tol)
     if math.isnan(t_star):
         t_star = None
@@ -139,6 +160,12 @@ def rate_I(q: RateQuery, tol: float = DEFAULT_TOL) -> RateResult:
 def log_W_rate_limit(q: RateQuery, tol: float = DEFAULT_TOL) -> float:
     """Limiting growth rate log(B+1) - I(c, B) of the bounded simplex counts."""
     return math.log(q.B + 1) - rate_I(q, tol).value
+
+
+def check_tol(tol: float) -> None:
+    """Reject a rate-solve tolerance that is not a finite positive real."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a finite positive real, got {tol!r}")
 
 
 def _check_t_B(t: float, B: int):

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from sumdiff import wcount
+from sumdiff import cli, wcount
 from sumdiff.cli import main
+from sumdiff.ratefn import RateResult
 from sumdiff.wcount import CountValue
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -126,6 +127,35 @@ def test_table1_rejects_b_range_exit_2(capsys, b_range):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "b_range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimize", "--B", "5", "--eps", "1e-10", "--rate-tol", "inf"),
+        ("optimize", "--B", "5", "--eps", "1e-10", "--rate-tol", "nan"),
+        ("rate", "--c", "1", "--B", "5", "--tol", "inf"),
+        ("optimize", "--B", "5", "--eps", "inf"),
+        ("optimize", "--B", "5", "--eps", "1.0"),
+        ("table1", "--b-range", "5..5", "--eps-list", "1e-4", "0.5"),
+        ("table1", "--b-range", "5..5", "--eps-list", "1e-4", "--rate-tol", "inf"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_rejects_bad_tolerance_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_non_finite_result_exit_2(capsys, monkeypatch):
+    # a NaN must never reach stdout as a record that is not JSON
+    monkeypatch.setattr(cli, "rate_I", lambda q, tol: RateResult(math.nan, -1.0, 0, 0.0))
+    code, out, err = run(capsys, "rate", "--c", "1", "--B", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_usage_error_exit_2(capsys):

@@ -159,6 +159,35 @@ class TestTable1:
             table1(b_range=(3, 11))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-12])
+def test_entry_points_reject_tol_not_finite_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        theta_objective(5, 0.8, 0.45, tol)
+    with pytest.raises(ValueError, match="tol"):
+        maximize_a(5, 0.8, 1e-8, tol)
+    with pytest.raises(ValueError, match="tol"):
+        maximize_r(5, 1e-8, tol)
+    with pytest.raises(ValueError, match="tol"):
+        table1((1e-4,), (5, 5), tol)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.25, 1.0])
+def test_entry_points_reject_eps_without_a_bracket(eps):
+    # r reaches 2 in the r-search, where [eps, 1/r - eps] is empty for eps >= 0.25
+    with pytest.raises(ValueError, match="eps"):
+        maximize_a(5, 0.8, eps)
+    with pytest.raises(ValueError, match="eps"):
+        maximize_r(5, eps)
+    with pytest.raises(ValueError, match="eps"):
+        table1((1e-4, eps), (5, 5))
+
+
+def test_maximize_a_rejects_empty_bracket_at_large_r():
+    # 1/r = 0.1, so [0.1, 1/r - 0.1] is empty
+    with pytest.raises(ValueError, match="a-bracket"):
+        maximize_a(5, 10.0, 0.1)
+
+
 def test_default_eps_columns_match_published_layout():
     assert TABLE_EPS == (1e-4, 1e-6, 1e-8, 1e-10)
     assert DEFAULT_TOL == 1e-12

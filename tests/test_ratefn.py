@@ -1,15 +1,62 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumdiff.ratefn import DEFAULT_TOL, RateQuery, RateResult, log_W_rate_limit, log_mgf, rate_I, tilted_mean
+from sumdiff.ratefn import (
+    _MAX_ITER,
+    DEFAULT_TOL,
+    RateQuery,
+    RateResult,
+    log_W_rate_limit,
+    log_mgf,
+    rate_I,
+    tilted_mean,
+)
 from sumdiff.wcount import log_count_rate
 
 
 def entropy(c):
     return -c * math.log(c) - (1 - c) * math.log(1 - c)
+
+
+def bisect_rate(c, B, tol=DEFAULT_TOL):
+    """Oracle: I(c, B) for interior c by monotone bisection on the tilted mean.
+
+    The bracket's low end -2*log(B+1)/max(c, 0.01) is doubled until it
+    straddles the root, then the bracket is halved down to width tol in t.
+    """
+    t_lo = -2.0 * math.log(B + 1) / max(c, 0.01)
+    while tilted_mean(t_lo, B) >= c:
+        t_lo *= 2.0
+    t_hi = 0.0
+    while t_hi - t_lo > tol:
+        t_mid = 0.5 * (t_lo + t_hi)
+        if t_mid == t_lo or t_mid == t_hi:
+            break
+        if tilted_mean(t_mid, B) < c:
+            t_lo = t_mid
+        else:
+            t_hi = t_mid
+    t = 0.5 * (t_lo + t_hi)
+    return max(t * c - log_mgf(t, B), 0.0)
+
+
+@st.composite
+def interior_queries(draw):
+    """(c, B) with 0 < c < B/2, weighted toward tiny c and c just below B/2."""
+    B = draw(st.integers(1, 40))
+    half = B / 2
+    c = draw(
+        st.one_of(
+            st.floats(0.0, half, exclude_min=True, exclude_max=True),
+            st.floats(0.0, 1e-6, exclude_min=True),
+            st.floats(1.0, 300.0).map(lambda u: 10.0 ** -u),
+            st.floats(0.0, 1e-6, exclude_min=True).map(lambda d: half - d).filter(lambda c: c < half),
+        )
+    )
+    return c, B
 
 
 def golden_max(f, lo, hi, iters=200):
@@ -97,12 +144,32 @@ class TestRateI:
             assert res.t_star == -math.inf
             assert res.iterations == 0
 
-    def test_closed_form_B1(self):
-        for c in [0.05 * k for k in range(1, 10)]:
-            res = rate_I(RateQuery(c, 1))
-            assert abs(res.value - (math.log(2) - entropy(c))) <= 1e-10
-            # optimal tilt is log(c/(1-c))
-            assert abs(res.t_star - math.log(c / (1 - c))) < 1e-9
+    @given(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    @example(0.05)
+    @example(1e-300)
+    @example(0.5 - 1e-12)
+    def test_closed_form_B1(self, c):
+        res = rate_I(RateQuery(c, 1))
+        assert abs(res.value - (math.log(2) - entropy(c))) <= 1e-15
+        # optimal tilt is log(c/(1-c)), taken without iterating
+        assert res.t_star == math.log(c / (1 - c))
+        assert res.iterations == 0
+        assert res.residual == abs(tilted_mean(res.t_star, 1) - c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(interior_queries())
+    @example((1e-300, 5))
+    @example((1e-300, 40))
+    @example((5e-324, 2))
+    @example((20.0 - 1e-7, 40))
+    def test_newton_matches_bisection_oracle(self, query):
+        c, B = query
+        res = rate_I(RateQuery(c, B))
+        oracle = bisect_rate(c, B)
+        assert abs(res.value - oracle) <= 1e-14 * max(1.0, oracle)
+        assert res.residual <= 10 * DEFAULT_TOL
+        assert res.residual == abs(tilted_mean(res.t_star, B) - c)
+        assert res.iterations <= _MAX_ITER
 
     def test_monotone_nonincreasing_in_c(self):
         for B in range(1, 11):
@@ -144,6 +211,11 @@ class TestRateI:
             RateQuery(0.5, -1)
         with pytest.raises(ValueError):
             rate_I(RateQuery(0.5, 2), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+    def test_rejects_tol_not_finite_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            rate_I(RateQuery(1.0, 5), tol=tol)
 
 
 class TestLogWRateLimit:
