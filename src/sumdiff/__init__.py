@@ -3,7 +3,8 @@
 Subpackages by role:
     wcount    exact counting (inclusion-exclusion) and enumeration of the
               bounded simplex sets W(m, L, B)
-    construct digit-map integer sets, sumsets/difference sets, identity checks
+    construct digit-map integer sets, their counted exponent bound, and the
+              brute-force sumsets/difference sets that check it
     ratefn    large-deviation rate function I(c, B) via its convex dual
     optimize  nested maximization of the exponent bound over (a, r, B)
     cli       command-line entry point
@@ -14,10 +15,13 @@ from .construct import (
     BoundReport,
     IntegerSet,
     build_U,
+    diff_count,
     diffset,
     encode_f,
     encode_g,
+    max_U,
     sumset,
+    theta_bound,
     theta_bound_exact,
     verify_diffset_identity,
     verify_injectivity,
@@ -65,6 +69,7 @@ __all__ = [
     "binomial",
     "build_U",
     "count_W",
+    "diff_count",
     "diffset",
     "encode_f",
     "encode_g",
@@ -72,11 +77,13 @@ __all__ = [
     "log_W_rate_limit",
     "log_count_rate",
     "log_mgf",
+    "max_U",
     "maximize_a",
     "maximize_r",
     "rate_I",
     "sumset",
     "table1",
+    "theta_bound",
     "theta_bound_exact",
     "theta_objective",
     "tilted_mean",

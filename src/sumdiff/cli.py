@@ -81,9 +81,17 @@ def _cmd_rate(args, started) -> int:
 
 def _cmd_bound(args, started) -> int:
     p = WParams(args.m, args.L, args.B)
-    U = construct.build_U(p, args.cap)
-    report = construct.theta_bound_exact(U, args.cap)
+    report = construct.theta_bound(p)
     if args.dump_set is not None:
+        U = construct.build_U(p, args.cap)
+        # the written set must be the one the counted record describes
+        if len(U) != report.set_size.exact or 2 * max(U) + 1 != report.q:
+            print(
+                f"error: enumerated U (|U| = {len(U)}, q = {2 * max(U) + 1}) disagrees "
+                f"with the counts (|U| = {report.set_size.exact}, q = {report.q})",
+                file=sys.stderr,
+            )
+            return 1
         with open(args.dump_set, "w") as fh:
             fh.writelines(f"{u}\n" for u in U)
         print(f"wrote {len(U)} elements to {args.dump_set}", file=sys.stderr)
@@ -91,7 +99,7 @@ def _cmd_bound(args, started) -> int:
         "bound",
         {"m": args.m, "L": args.L, "B": args.B, "cap": args.cap},
         {
-            "set_size": len(U),
+            "set_size": report.set_size.exact,
             "d": report.d.exact,
             "s": report.s.exact,
             "q": report.q,
@@ -203,9 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(run=_cmd_rate)
 
-    p = sub.add_parser("bound", help="build U = g(W) and report its exponent bound")
+    p = sub.add_parser("bound", help="exponent bound of U = g(W) from exact counts")
     add_mlb(p)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help="enumeration size cap for --dump-set")
     p.add_argument("--dump-set", metavar="PATH", default=None,
                    help="write U as newline-delimited decimal integers")
     p.set_defaults(run=_cmd_bound)

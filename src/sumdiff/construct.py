@@ -8,11 +8,14 @@ U = g(W(m,L,B)) equal lattice counts:
     |U+U| = |W(m, 2L, 2B)|
     |U-U| = sum_k C(m,k) |W(k, L-k, B-1)| |W(m-k, L, B)|
 
-Both identities, and injectivity itself, are verified here by exhaustive
-pair enumeration at desk scale; the |U|^2 pairs are held to the same cap as
-an enumeration of W, checked before any pair is formed.  The legacy radix
-map f with weights w_0 = 1, w_k = 2L*w_{k-1} + 1 plays the same role for
-the unbounded sets V(m, L).
+``theta_bound`` certifies the exponent bound of U from these counts and a
+greedy fill of the top digits for max U, without building U or forming a
+pair.  The brute-force path (``build_U``, ``sumset``, ``diffset``,
+``theta_bound_exact``) is its oracle: it enumerates U and all |U|^2 pairs,
+held to the enumeration cap, which is checked before any pair is formed.
+The ``verify_*`` checks compare the two at desk scale.  The legacy radix map
+f with weights w_0 = 1, w_k = 2L*w_{k-1} + 1 plays the same role for the
+unbounded sets V(m, L).
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ IntegerSet = tuple[int, ...]
 class BoundReport:
     """Difference/sum counts of U and the exponent bound they certify."""
 
+    set_size: CountValue  # |U|
     d: CountValue  # |U - U|
     s: CountValue  # |U + U|
     q: int  # 2*max(U) + 1
@@ -111,6 +115,12 @@ def diffset(U: IntegerSet, cap: int | None = None) -> IntegerSet:
     return tuple(sorted({u - v for u in U for v in U}))
 
 
+def _report(n: int, d: int, s: int, q: int) -> BoundReport:
+    # the one theta expression, so the counted and paired bounds agree bit for bit
+    theta = 1.0 + (math.log(d) - math.log(s)) / math.log(q)
+    return BoundReport(CountValue.of(n), CountValue.of(d), CountValue.of(s), q, theta)
+
+
 def theta_bound_exact(U: IntegerSet, cap: int | None = None) -> BoundReport:
     """Exponent bound 1 + log(|U-U|/|U+U|) / log(2*max(U)+1) for a concrete U."""
     if len(U) == 0:
@@ -121,9 +131,61 @@ def theta_bound_exact(U: IntegerSet, cap: int | None = None) -> BoundReport:
         raise ValueError("U = {0} has no meaningful scale (log q = 0)")
     d = len(diffset(U, cap))
     s = len(sumset(U, cap))
-    q = 2 * max(U) + 1
-    theta = 1.0 + (math.log(d) - math.log(s)) / math.log(q)
-    return BoundReport(CountValue.of(d), CountValue.of(s), q, theta)
+    return _report(len(U), d, s, 2 * max(U) + 1)
+
+
+def diff_count(p: WParams) -> CountValue:
+    """|U-U| for U = g(W(m, L, B)), by the convolution
+
+    |U-U| = sum_{k=0}^{min(m,L)} C(m,k) |W(k, L-k, B-1)| |W(m-k, L, B)|
+
+    over the number k of negative coordinates of a difference vector: their
+    magnitudes less 1 each form a member of W(k, L-k, B-1), and the other m-k
+    coordinates a member of W(m-k, L, B).
+    """
+    if p.B < 1:
+        raise ValueError("the convolution formula needs B >= 1")
+    total = 0
+    for k in range(min(p.m, p.L) + 1):
+        total += (
+            binomial(p.m, k).exact
+            * count_W(WParams(k, p.L - k, p.B - 1)).exact
+            * count_W(WParams(p.m - k, p.L, p.B)).exact
+        )
+    return CountValue.of(total)
+
+
+def max_U(p: WParams) -> int:
+    """max g(W(m, L, B)): fill the digits from the top, each up to B, until L is spent.
+
+    The digits are nonnegative and below the base, so the greatest value has
+    the lexicographically greatest digit string, most significant first.
+    """
+    base = 2 * p.B + 1
+    left = p.L
+    value = 0
+    for _ in range(p.m):
+        digit = min(p.B, left)
+        left -= digit
+        value = value * base + digit
+    return value
+
+
+def theta_bound(p: WParams) -> BoundReport:
+    """The exponent bound of U = g(W(m, L, B)) from exact counts alone.
+
+    Equal, field for field and bit for bit in theta, to
+    ``theta_bound_exact(build_U(p))``, with no set built and no pair formed.
+    """
+    top = max_U(p)
+    if top < 1:
+        raise ValueError("U = {0} has no meaningful scale (log q = 0)")
+    return _report(
+        count_W(p).exact,
+        diff_count(p).exact,
+        count_W(WParams(p.m, 2 * p.L, 2 * p.B)).exact,
+        2 * top + 1,
+    )
 
 
 def verify_sumset_identity(p: WParams, cap: int | None = None) -> bool:
@@ -134,20 +196,9 @@ def verify_sumset_identity(p: WParams, cap: int | None = None) -> bool:
 
 
 def verify_diffset_identity(p: WParams, cap: int | None = None) -> bool:
-    """Check the difference-set convolution formula by exhaustive enumeration.
-
-    |U-U| = sum_{k=0}^{min(m,L)} C(m,k) |W(k, L-k, B-1)| |W(m-k, L, B)|
-    """
-    if p.B < 1:
-        raise ValueError("the convolution formula needs B >= 1")
+    """Check the difference-set convolution ``diff_count`` by exhaustive enumeration."""
+    rhs = diff_count(p).exact
     lhs = len(diffset(build_U(p, cap), cap))
-    rhs = 0
-    for k in range(min(p.m, p.L) + 1):
-        rhs += (
-            binomial(p.m, k).exact
-            * count_W(WParams(k, p.L - k, p.B - 1)).exact
-            * count_W(WParams(p.m - k, p.L, p.B)).exact
-        )
     return lhs == rhs
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sumdiff import cli, wcount
+from sumdiff import cli, construct, wcount
 from sumdiff.cli import main
 from sumdiff.ratefn import RateResult
 from sumdiff.wcount import CountValue
@@ -177,12 +177,39 @@ def test_cap_exceeded_exit_2(capsys):
     assert "cap" in err
 
 
-def test_bound_pair_cap_exit_2(capsys):
-    # |W(10, 8, 5)| = 43,098 vectors pass the cap; their 1.86e9 pairs must not
-    code, out, err = run(capsys, "bound", "--m", "10", "--L", "8", "--B", "5")
+def test_bound_counts_past_pair_cap(capsys):
+    # |W(10, 8, 5)| = 43,098 vectors: their 1.86e9 pairs are past the cap, the counts are not
+    code, record = run_json(capsys, "bound", "--m", "10", "--L", "8", "--B", "5")
+    assert code == 0
+    results = record["results"]
+    assert results["set_size"] == 43_098
+    assert results["s"] == wcount.count_W(wcount.WParams(10, 16, 10)).exact
+    assert results["q"] == 2 * max(construct.build_U(wcount.WParams(10, 8, 5))) + 1
+
+
+def test_bound_cap_applies_only_to_dump_set(capsys, tmp_path):
+    argv = ("bound", "--m", "9", "--L", "20", "--B", "3", "--cap", "10")
+    code, record = run_json(capsys, *argv)
+    assert code == 0
+    assert record["results"]["set_size"] > 10
+    code, out, err = run(capsys, *argv, "--dump-set", str(tmp_path / "u.txt"))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "pairs" in err and "cap" in err
+    assert err.startswith("error: ") and "cap" in err
+    assert not (tmp_path / "u.txt").exists()
+
+
+def test_bound_dump_set_cross_check_exit_1(capsys, tmp_path, monkeypatch):
+    # a count that disagrees with the enumerated set is a verification failure
+    monkeypatch.setattr(construct, "max_U", lambda p: 5)
+    path = tmp_path / "u.txt"
+    code, out, err = run(
+        capsys, "bound", "--m", "2", "--L", "2", "--B", "1", "--dump-set", str(path)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "q = 11" in err and "q = 9" in err
+    assert not path.exists()
 
 
 def test_count_past_int_digit_limit(capsys, monkeypatch):

@@ -1,19 +1,23 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumdiff.construct import (
     build_U,
     diffset,
     encode_f,
     encode_g,
+    max_U,
     sumset,
+    theta_bound,
     theta_bound_exact,
     verify_diffset_identity,
     verify_injectivity,
     verify_sumset_identity,
 )
-from sumdiff.wcount import EnumerationCapError, WParams, enumerate_W
+from sumdiff.wcount import EnumerationCapError, WParams, count_W, enumerate_W
 
 
 class TestEncodeG:
@@ -138,6 +142,36 @@ class TestThetaBound:
             theta_bound_exact((1, 2))
         with pytest.raises(ValueError):
             theta_bound_exact((0,))
+
+
+class TestCountedBound:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 8), st.integers(0, 4))
+    # the certificate benchmark's shapes, |U| = 924, 1716 and 3003
+    @example(6, 6, 8)
+    @example(7, 6, 6)
+    @example(6, 8, 13)
+    def test_matches_brute_force(self, m, L, B):
+        p = WParams(m, L, B)
+        U = build_U(p)
+        assert len(U) == count_W(p).exact
+        assert max_U(p) == max(U)
+        if max(U) < 1:
+            with pytest.raises(ValueError):
+                theta_bound(p)
+            with pytest.raises(ValueError):
+                theta_bound_exact(U)
+            return
+        counted, paired = theta_bound(p), theta_bound_exact(U)
+        assert counted == paired
+        assert counted.theta == paired.theta
+
+    def test_finite_m_bound_grows_past_alphaevolve(self):
+        # B = 5 with L near 0.8m, the best L of a scan at each m
+        thetas = [theta_bound(WParams(m, L, 5)).theta for m, L in [(50, 42), (100, 82), (200, 164), (400, 320)]]
+        assert all(a < b for a, b in zip(thetas, thetas[1:]))
+        assert thetas[0] > 1.1584
+        assert thetas[-1] < 1.173077
 
 
 class TestIdentities:
