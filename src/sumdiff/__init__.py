@@ -28,7 +28,6 @@ from .construct import (
     verify_sumset_identity,
 )
 from .optimize import (
-    NumeratorTerms,
     OptimizationReport,
     ThetaPoint,
     maximize_a,
@@ -60,7 +59,6 @@ __all__ = [
     "EnumerationCapError",
     "IntegerSet",
     "LatticeVector",
-    "NumeratorTerms",
     "OptimizationReport",
     "RateQuery",
     "RateResult",

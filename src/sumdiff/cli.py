@@ -111,6 +111,11 @@ def _cmd_bound(args, started) -> int:
 
 
 def _cmd_verify(args, started) -> int:
+    if args.max_m < 0 or args.max_L < 0 or args.max_B < 1:
+        raise ValueError(
+            "the grid is empty: need --max-m >= 0, --max-L >= 0 and --max-B >= 1, got "
+            f"{args.max_m}, {args.max_L} and {args.max_B}"
+        )
     checked = []
     all_pass = True
     for m in range(args.max_m + 1):

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .ratefn import DEFAULT_TOL, RateQuery, _rate_value, check_tol, rate_I
+from .ratefn import DEFAULT_TOL, _rate_value, check_tol
 
 #: tolerance columns of the reference table
 TABLE_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
@@ -28,40 +28,13 @@ _BRENT_MAXFUN = 500
 
 
 @dataclass(frozen=True)
-class NumeratorTerms:
-    """The seven a/r-dependent terms of the bound numerator."""
-
-    log2: float
-    ar_log_B: float
-    one_minus_ar_log_B1: float
-    I_ar_1: float
-    ar_I_inner: float
-    one_minus_ar_I_outer: float
-    I_2r_2B: float
-
-
-@dataclass(frozen=True)
 class ThetaPoint:
-    """One evaluation of the bound at (B, r, a), decomposed term by term."""
+    """One evaluation of the bound at (B, r, a)."""
 
     B: int
     r: float
     a: float
-    terms: NumeratorTerms
     theta_minus_1: float
-
-    def recompose(self) -> float:
-        """theta - 1 rebuilt from the stored terms (same accumulation order)."""
-        t = self.terms
-        v = t.log2
-        v += t.ar_log_B
-        v += t.one_minus_ar_log_B1
-        v -= t.I_ar_1
-        v -= t.ar_I_inner
-        v -= t.one_minus_ar_I_outer
-        v -= math.log(2 * self.B + 1)
-        v += t.I_2r_2B
-        return v / math.log(2 * self.B + 1)
 
 
 @dataclass(frozen=True)
@@ -100,21 +73,10 @@ def theta_objective(B: int, r: float, a: float, tol: float = DEFAULT_TOL) -> The
         raise ValueError(f"r must be a positive finite real, got {r!r}")
     if not 0.0 < a < min(1.0, 1.0 / r):
         raise ValueError(f"a={a!r} outside the open interval (0, min(1, 1/r)) for r={r!r}")
-    ar = a * r
-    terms = NumeratorTerms(
-        log2=_LOG2,
-        ar_log_B=ar * math.log(B),
-        one_minus_ar_log_B1=(1.0 - ar) * math.log(B + 1),
-        I_ar_1=rate_I(RateQuery(ar, 1), tol).value,
-        ar_I_inner=ar * rate_I(RateQuery((1.0 - a) / a, B - 1), tol).value,
-        one_minus_ar_I_outer=(1.0 - ar) * rate_I(RateQuery(r / (1.0 - ar), B), tol).value,
-        I_2r_2B=rate_I(RateQuery(2.0 * r, 2 * B), tol).value,
-    )
-    point = ThetaPoint(B, r, a, terms, 0.0)
-    theta_minus_1 = point.recompose()
+    theta_minus_1 = _numerator(_log_diff_rate(a, r, B, tol), r, B, tol) / math.log(2 * B + 1)
     if not math.isfinite(theta_minus_1):
         raise ArithmeticError(f"non-finite objective at B={B}, r={r}, a={a}")
-    return ThetaPoint(B, r, a, terms, theta_minus_1)
+    return ThetaPoint(B, r, a, theta_minus_1)
 
 
 def _brent_min(f, x1: float, x2: float, xatol: float, maxfun: int = _BRENT_MAXFUN):
@@ -156,15 +118,14 @@ def _brent_min(f, x1: float, x2: float, xatol: float, maxfun: int = _BRENT_MAXFU
                 rat = p / q
                 x = xf + rat
                 if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = _sign(xm - xf) + (1.0 if xm == xf else 0.0)
-                    rat = tol1 * si
+                    rat = tol1 if xm >= xf else -tol1
             else:
                 golden = True
         if golden:
             e = (a - xf) if xf >= xm else (b - xf)
             rat = _GOLDEN_MEAN * e
 
-        si = _sign(rat) + (1.0 if rat == 0.0 else 0.0)
+        si = 1.0 if rat >= 0.0 else -1.0
         x = xf + si * max(abs(rat), tol1)
         fu = f(x)
         num += 1
@@ -196,22 +157,11 @@ def _brent_min(f, x1: float, x2: float, xatol: float, maxfun: int = _BRENT_MAXFU
     return xf, fx, num
 
 
-def _sign(v: float) -> float:
-    if v > 0.0:
-        return 1.0
-    if v < 0.0:
-        return -1.0
-    return 0.0
-
-
 def _log_diff_rate(a: float, r: float, B: int, tol: float) -> float:
-    """The first six numerator terms, accumulated in NumeratorTerms order.
+    """The six a-dependent numerator terms: the objective of the a-search.
 
     log2 + ar*log(B) + (1-ar)*log(B+1) - I(ar,1) - ar*I((1-a)/a, B-1)
         - (1-ar)*I(r/(1-ar), B)
-
-    ThetaPoint.recompose relies on the same order to reproduce a search's
-    value bit for bit.
     """
     ar = a * r
     v = _LOG2
@@ -223,18 +173,22 @@ def _log_diff_rate(a: float, r: float, B: int, tol: float) -> float:
     return v
 
 
-def _search_a(B: int, r: float, eps: float, tol: float) -> tuple[float, float, int]:
-    """(a_star, numerator value, evaluations) of the a-search at fixed (B, r).
+def _numerator(a_terms: float, r: float, B: int, tol: float) -> float:
+    """The bound numerator: _log_diff_rate's a_terms - log(2B+1) + I(2r, 2B)."""
+    return (a_terms - math.log(2 * B + 1)) + _rate_value(2.0 * r, 2 * B, tol)[0]
 
-    Endpoints are inset by max(eps, 1e-12): a=0 and a=1/r are poles of the
-    rate arguments.
-    """
+
+def _a_bracket(r: float, eps: float) -> tuple[float, float]:
+    """The a-search bracket, inset by max(eps, 1e-12) from the poles 0 and 1/r."""
     inset = max(eps, 1e-12)
-    lo = inset
-    hi = min(1.0, 1.0 / r) - inset
+    return inset, min(1.0, 1.0 / r) - inset
+
+
+def _search_a(B: int, r: float, eps: float, tol: float) -> tuple[float, float, int]:
+    """(a_star, numerator value, evaluations) of the a-search at fixed (B, r)."""
+    lo, hi = _a_bracket(r, eps)
     a_star, neg, num = _brent_min(lambda a: -_log_diff_rate(a, r, B, tol), lo, hi, eps)
-    value = (-neg - math.log(2 * B + 1)) + _rate_value(2.0 * r, 2 * B, tol)[0]
-    return a_star, value, num
+    return a_star, _numerator(-neg, r, B, tol), num
 
 
 def maximize_a(B: int, r: float, eps: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
@@ -247,8 +201,9 @@ def maximize_a(B: int, r: float, eps: float, tol: float = DEFAULT_TOL) -> tuple[
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
     _check_eps(eps)
-    if not eps < 0.5 * min(1.0, 1.0 / r):
-        raise ValueError(f"eps={eps!r} leaves no a-bracket [eps, min(1, 1/r) - eps] at r={r!r}")
+    lo, hi = _a_bracket(r, eps)
+    if not lo < hi:
+        raise ValueError(f"eps={eps!r} leaves no a-bracket [{lo!r}, {hi!r}] at r={r!r}")
     check_tol(tol)
     a_star, value, _ = _search_a(B, r, eps, tol)
     return a_star, value

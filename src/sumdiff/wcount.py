@@ -9,14 +9,12 @@ rate is the logarithm of the same count.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
 #: coordinate vector of a lattice point
 LatticeVector = tuple[int, ...]
 
-ENUM_CAP_ENV = "SUMDIFF_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10_000_000
 
 
@@ -30,10 +28,8 @@ class EnumerationCapError(ValueError):
 
 
 def enum_cap(cap: int | None = None) -> int:
-    """The given cap, else SUMDIFF_ENUM_CAP, else the default of 10^7."""
-    if cap is None:
-        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
-    return cap
+    """The given cap, else the default of 10^7."""
+    return DEFAULT_ENUM_CAP if cap is None else cap
 
 
 @dataclass(frozen=True)
@@ -136,8 +132,8 @@ def _vectors(m: int, L: int, B: int) -> Iterator[LatticeVector]:
 def enumerate_W(p: WParams, cap: int | None = None) -> list[LatticeVector]:
     """All members of W(m, L, B) in lexicographic order.
 
-    The cap (default 10^7, overridable via the SUMDIFF_ENUM_CAP environment
-    variable) is checked against the exact count before any vector is built.
+    The cap (default 10^7) is checked against the exact count before any
+    vector is built.
     """
     cap = enum_cap(cap)
     n = _count(p.m, p.L, p.B)

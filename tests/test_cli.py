@@ -90,6 +90,20 @@ def test_verify_passes(capsys):
     assert all(r["sumset_identity"] and r["diffset_identity"] and r["injective_g"] for r in rows)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [("--max-B", "0"), ("--max-m", "-1"), ("--max-L", "-3")],
+    ids=lambda grid: " ".join(grid),
+)
+def test_verify_rejects_empty_grid_exit_2(capsys, grid):
+    # each of these grids checks nothing, so no passing record may be printed
+    code, out, err = run(capsys, "verify", *grid)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "empty" in err
+
+
 def test_optimize(capsys):
     code, record = run_json(capsys, "optimize", "--B", "5", "--eps", "1e-8")
     assert code == 0

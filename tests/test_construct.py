@@ -115,8 +115,7 @@ class TestThetaBound:
         assert rep.s.exact == len({u + v for u in U for v in U})
         assert rep.theta == 1.0 + (math.log(rep.d.exact) - math.log(rep.s.exact)) / math.log(9)
 
-    def test_pair_cap_checked_before_pairing(self, monkeypatch):
-        monkeypatch.delenv("SUMDIFF_ENUM_CAP", raising=False)
+    def test_pair_cap_checked_before_pairing(self):
         # 3163^2 = 10,004,569 pairs, just past the default cap of 10^7
         with pytest.raises(EnumerationCapError) as exc:
             theta_bound_exact(tuple(range(3163)))
@@ -127,13 +126,8 @@ class TestThetaBound:
         with pytest.raises(EnumerationCapError):
             diffset((0, 1, 3), cap=8)
         assert len(sumset((0, 1, 3), cap=9)) == 6
-
-    def test_pair_cap_env_var(self, monkeypatch):
-        monkeypatch.setenv("SUMDIFF_ENUM_CAP", "8")
         with pytest.raises(EnumerationCapError):
-            diffset((0, 1, 3))
-        with pytest.raises(EnumerationCapError):
-            verify_injectivity(WParams(2, 1, 1), "g")  # 3 vectors, 9 pairs
+            verify_injectivity(WParams(2, 1, 1), "g", cap=8)  # 3 vectors, 9 pairs
 
     def test_rejections(self):
         with pytest.raises(ValueError):

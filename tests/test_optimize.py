@@ -33,38 +33,24 @@ class TestThetaObjective:
         point = theta_objective(1, 1.0, 0.5)
         expected = (1.5 * math.log(2) - math.log(3)) / math.log(3)
         assert math.isclose(point.theta_minus_1, expected, rel_tol=1e-14)
-        t = point.terms
-        assert (t.I_ar_1, t.ar_I_inner, t.one_minus_ar_I_outer, t.I_2r_2B) == (0, 0, 0, 0)
+        for c, B in [(0.5, 1), (1.0, 0), (2.0, 1), (2.0, 2)]:
+            assert rate_I(RateQuery(c, B)).value == 0
 
     def test_term_by_term_oracle(self):
-        # recompute each numerator term independently through ratefn
+        # recompute the numerator term by term through the public rate_I,
+        # accumulated in the same order, so the two agree bit for bit
         B, r, a = 2, 1.0, 0.9
         point = theta_objective(B, r, a)
         ar = a * r
-        t = point.terms
-        assert t.log2 == math.log(2)
-        assert t.ar_log_B == ar * math.log(B)
-        assert t.one_minus_ar_log_B1 == (1 - ar) * math.log(B + 1)
-        assert t.I_ar_1 == rate_I(RateQuery(ar, 1)).value
-        assert t.ar_I_inner == ar * rate_I(RateQuery((1 - a) / a, B - 1)).value
-        assert t.one_minus_ar_I_outer == (1 - ar) * rate_I(RateQuery(r / (1 - ar), B)).value
-        assert t.I_2r_2B == rate_I(RateQuery(2 * r, 2 * B)).value
-        numer = (
-            t.log2
-            + t.ar_log_B
-            + t.one_minus_ar_log_B1
-            - t.I_ar_1
-            - t.ar_I_inner
-            - t.one_minus_ar_I_outer
-            - math.log(2 * B + 1)
-            + t.I_2r_2B
-        )
-        assert math.isclose(point.theta_minus_1, numer / math.log(2 * B + 1), rel_tol=1e-14)
-
-    def test_recompose_matches_stored_value(self):
-        for B, r, a in [(1, 1.0, 0.5), (3, 0.8, 0.3), (5, 0.805, 0.467), (10, 1.4, 0.3)]:
-            point = theta_objective(B, r, a)
-            assert math.isclose(point.recompose(), point.theta_minus_1, rel_tol=1e-14)
+        numer = math.log(2)
+        numer += ar * math.log(B)
+        numer += (1 - ar) * math.log(B + 1)
+        numer -= rate_I(RateQuery(ar, 1)).value
+        numer -= ar * rate_I(RateQuery((1 - a) / a, B - 1)).value
+        numer -= (1 - ar) * rate_I(RateQuery(r / (1 - ar), B)).value
+        numer -= math.log(2 * B + 1)
+        numer += rate_I(RateQuery(2 * r, 2 * B)).value
+        assert point.theta_minus_1 == numer / math.log(2 * B + 1)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -91,10 +77,12 @@ class TestMaximizeA:
         assert abs(coarse - fine) < 1e-5
 
     def test_value_consistent_with_objective(self):
-        B, r, eps = 5, 0.805, 1e-10
-        a_star, value = maximize_a(B, r, eps)
-        point = theta_objective(B, r, a_star)
-        assert abs(value / math.log(2 * B + 1) - point.theta_minus_1) < 1e-12
+        # the search and the point evaluation share one numerator
+        r, eps = 0.805, 1e-10
+        for B in range(3, 11):
+            a_star, value = maximize_a(B, r, eps)
+            point = theta_objective(B, r, a_star)
+            assert value / math.log(2 * B + 1) == point.theta_minus_1
 
 
 class TestMaximizeR:
@@ -105,9 +93,10 @@ class TestMaximizeR:
         assert abs(maximize_r(5, 1e-4).theta_minus_1 - 0.173077285664668) < 1e-6
 
     def test_report_reevaluates(self):
-        rep = maximize_r(4, 1e-8)
-        point = theta_objective(rep.B, rep.r_star, rep.a_star)
-        assert abs(rep.theta_minus_1 - point.theta_minus_1) < 1e-12
+        for B in range(3, 11):
+            rep = maximize_r(B, 1e-10)
+            point = theta_objective(rep.B, rep.r_star, rep.a_star)
+            assert rep.theta_minus_1 == point.theta_minus_1
 
     def test_deterministic(self):
         assert maximize_r(6, 1e-8) == maximize_r(6, 1e-8)
@@ -183,9 +172,12 @@ def test_entry_points_reject_eps_without_a_bracket(eps):
 
 
 def test_maximize_a_rejects_empty_bracket_at_large_r():
-    # 1/r = 0.1, so [0.1, 1/r - 0.1] is empty
-    with pytest.raises(ValueError, match="a-bracket"):
-        maximize_a(5, 10.0, 0.1)
+    # (10, 0.1): 1/r = 0.1, so [0.1, 1/r - 0.1] is empty.
+    # (1e13, 1e-14): eps passes, but the search insets by max(eps, 1e-12),
+    # which leaves [1e-12, 1e-13 - 1e-12] empty.
+    for r, eps in [(10.0, 0.1), (1e13, 1e-14)]:
+        with pytest.raises(ValueError, match="a-bracket"):
+            maximize_a(5, r, eps)
 
 
 def test_default_eps_columns_match_published_layout():

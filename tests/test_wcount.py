@@ -151,11 +151,6 @@ class TestEnumerateW:
         assert exc.value.count == count_W(WParams(10, 20, 3)).exact
         assert "100" in str(exc.value)
 
-    def test_cap_env_var(self, monkeypatch):
-        monkeypatch.setenv("SUMDIFF_ENUM_CAP", "2")
-        with pytest.raises(EnumerationCapError):
-            enumerate_W(WParams(2, 2, 1))
-
 
 class TestLogCountRate:
     def test_golden(self):
