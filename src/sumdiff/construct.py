@@ -36,6 +36,10 @@ from .wcount import (
 #: strictly increasing tuple of integers
 IntegerSet = tuple[int, ...]
 
+#: largest min(m, L) that ``theta_bound`` accepts: the |U-U| convolution has
+#: min(m, L) + 1 terms, each an exact count
+MAX_CONVOLUTION_TERMS = 4_000
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -159,15 +163,18 @@ def max_U(p: WParams) -> int:
     """max g(W(m, L, B)): fill the digits from the top, each up to B, until L is spent.
 
     The digits are nonnegative and below the base, so the greatest value has
-    the lexicographically greatest digit string, most significant first.
+    the lexicographically greatest digit string, most significant first: t =
+    min(m, L//B) top digits equal to B, then the remainder L - tB if t < m,
+    then zeros.  That string is summed in closed form, not digit by digit.
     """
-    base = 2 * p.B + 1
-    left = p.L
-    value = 0
-    for _ in range(p.m):
-        digit = min(p.B, left)
-        left -= digit
-        value = value * base + digit
+    m, L, B = p.m, p.L, p.B
+    if B == 0:
+        return 0
+    base = 2 * B + 1
+    t = min(m, L // B)
+    value = B * (base**t - 1) // (base - 1) * base ** (m - t)
+    if t < m:
+        value += (L - t * B) * base ** (m - t - 1)
     return value
 
 
@@ -176,7 +183,15 @@ def theta_bound(p: WParams) -> BoundReport:
 
     Equal, field for field and bit for bit in theta, to
     ``theta_bound_exact(build_U(p))``, with no set built and no pair formed.
+    Raises ``ValueError`` before counting when min(m, L) exceeds
+    ``MAX_CONVOLUTION_TERMS``.
     """
+    terms = min(p.m, p.L)
+    if terms > MAX_CONVOLUTION_TERMS:
+        raise ValueError(
+            f"min(m, L) = {terms} exceeds the counted bound's limit of "
+            f"{MAX_CONVOLUTION_TERMS} convolution terms, each an exact count"
+        )
     top = max_U(p)
     if top < 1:
         raise ValueError("U = {0} has no meaningful scale (log q = 0)")

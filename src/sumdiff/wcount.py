@@ -68,26 +68,26 @@ def _count(m: int, L: int, B: int) -> int:
     """|W(m, L, B)| by inclusion-exclusion over the coordinates above B.
 
     |W(m, L, B)| = sum_k (-1)^k C(m, k) C(L - k(B+1) + m, m), over
-    k <= min(m, floor(L/(B+1))) after L is saturated at m*B.  Both binomials
-    are carried from term to term by small-integer factors: O(L) small
-    products and O(L/(B+1)) big-integer steps.
+    k <= min(m, floor(L/(B+1))) after L is saturated at m*B.  One carried
+    term: min(m, L//(B+1)) steps, each one small product (of min(m, B+1)
+    factors) and one exact division.
     """
     L = min(L, m * B)
     s = B + 1
-    a = 1  # C(m, k)
-    n = L + m  # C(n, m) is the k-th term's unbounded count
-    b = math.comb(n, m)
-    total = b
+    # C(n-s, m) / C(n, m) = perm(n-m, s) / perm(n, s) = perm(n-s, m) / perm(n, m):
+    # the shorter of the two products, a factors each, all of them >= 1
+    a, b = sorted((s, m))
+    n = L + m  # the k-th term is (-1)^k C(m, k) C(n, m) with n = L - k*s + m
+    term = math.comb(n, m)
+    total = term
     for k in range(1, min(m, L // s) + 1):
-        a = a * (m - k + 1) // k
-        # C(n - s, m) = C(n, m) * prod_{j<s} (n - m - j) / (n - j); all factors >= 1
-        num = den = 1
-        for j in range(s):
-            num *= n - m - j
-            den *= n - j
-        b = b * num // den
+        # t_k / t_{k-1} = (m-k+1)/k * C(n-s, m)/C(n, m); the division is
+        # exact because t_k is an integer
+        num = (m - k + 1) * math.perm(n - b, a)
+        den = k * math.perm(n, a)
+        term = -term * num // den
         n -= s
-        total += -a * b if k & 1 else a * b
+        total += term
     return total
 
 

@@ -201,6 +201,19 @@ def test_bound_counts_past_pair_cap(capsys):
     assert results["q"] == 2 * max(construct.build_U(wcount.WParams(10, 8, 5))) + 1
 
 
+def test_bound_refuses_past_convolution_limit_exit_2(capsys, monkeypatch):
+    def no_count(p):
+        raise AssertionError("diff_count called past the limit")
+
+    monkeypatch.setattr(construct, "diff_count", no_count)
+    terms = construct.MAX_CONVOLUTION_TERMS + 1
+    code, out, err = run(capsys, "bound", "--m", str(terms), "--L", str(terms), "--B", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(terms) in err and str(construct.MAX_CONVOLUTION_TERMS) in err
+
+
 def test_bound_cap_applies_only_to_dump_set(capsys, tmp_path):
     argv = ("bound", "--m", "9", "--L", "20", "--B", "3", "--cap", "10")
     code, record = run_json(capsys, *argv)

@@ -145,6 +145,7 @@ class TestCountedBound:
     @example(6, 6, 8)
     @example(7, 6, 6)
     @example(6, 8, 13)
+    @example(3, 12, 2)  # the full cube: every digit of max U is B
     def test_matches_brute_force(self, m, L, B):
         p = WParams(m, L, B)
         U = build_U(p)

@@ -71,6 +71,9 @@ class TestCountW:
     @given(st.integers(0, 60), st.integers(0, 200), st.integers(0, 12))
     @example(400, 400, 3)
     @example(300, 1000, 7)
+    @example(1000, 1000, 3)
+    @example(1200, 900, 5)
+    @example(40, 3000, 200)  # B + 1 > m: the ratio runs over m factors
     def test_against_dp(self, m, L, B):
         assert count_W(WParams(m, L, B)).exact == dp_count(m, L, B)
 
@@ -94,6 +97,7 @@ class TestCountW:
             assert count_W(p).exact == (B + 1) ** m
 
     @given(st.integers(1, 7), st.integers(0, 20), st.integers(1, 4))
+    @example(3000, 4000, 3)
     def test_complement_symmetry(self, m, L, B):
         # coordinate reflection x -> B - x pairs sums <= L with sums > mB - L - 1
         if L >= m * B:
