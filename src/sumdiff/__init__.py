@@ -9,84 +9,70 @@ Subpackages by role:
     optimize  nested maximization of the exponent bound over (a, r, B)
     cli       command-line entry point
 
+Each submodule loads on first use: ``from sumdiff import log_count_rate``
+loads ``wcount`` alone.  The result records (``WParams``, ``CountValue``,
+``BoundReport``, ``ThetaPoint``, ``OptimizationReport``, ``RateQuery``,
+``RateResult``) are immutable NamedTuples; ``._asdict()`` gives their fields
+as a dict.
+
 Everything is pure Python, with no runtime dependencies.
 """
-from .construct import (
-    BoundReport,
-    IntegerSet,
-    build_U,
-    diff_count,
-    diffset,
-    encode_f,
-    encode_g,
-    max_U,
-    sumset,
-    theta_bound,
-    theta_bound_exact,
-    verify_diffset_identity,
-    verify_injectivity,
-    verify_sumset_identity,
-)
-from .optimize import (
-    OptimizationReport,
-    ThetaPoint,
-    maximize_a,
-    maximize_r,
-    table1,
-    theta_objective,
-)
-from .ratefn import RateQuery, RateResult, log_mgf, log_W_rate_limit, rate_I, tilted_mean
-from .wcount import (
-    CountValue,
-    EnumerationCapError,
-    LatticeVector,
-    WParams,
-    binomial,
-    count_W,
-    enumerate_W,
-    log_count_rate,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
 #: the numeric kernel, carried as ``backend`` in the optimize/table1 records
 BACKEND_NAME = "python"
 
-__all__ = [
-    "BACKEND_NAME",
-    "BoundReport",
-    "CountValue",
-    "EnumerationCapError",
-    "IntegerSet",
-    "LatticeVector",
-    "OptimizationReport",
-    "RateQuery",
-    "RateResult",
-    "ThetaPoint",
-    "WParams",
-    "binomial",
-    "build_U",
-    "count_W",
-    "diff_count",
-    "diffset",
-    "encode_f",
-    "encode_g",
-    "enumerate_W",
-    "log_W_rate_limit",
-    "log_count_rate",
-    "log_mgf",
-    "max_U",
-    "maximize_a",
-    "maximize_r",
-    "rate_I",
-    "sumset",
-    "table1",
-    "theta_bound",
-    "theta_bound_exact",
-    "theta_objective",
-    "tilted_mean",
-    "verify_diffset_identity",
-    "verify_injectivity",
-    "verify_sumset_identity",
-    "__version__",
-]
+#: public name -> the submodule that defines it, imported on first access
+_HOME = {
+    "BoundReport": "construct",
+    "IntegerSet": "construct",
+    "build_U": "construct",
+    "diff_count": "construct",
+    "diffset": "construct",
+    "encode_f": "construct",
+    "encode_g": "construct",
+    "max_U": "construct",
+    "sumset": "construct",
+    "theta_bound": "construct",
+    "theta_bound_exact": "construct",
+    "verify_diffset_identity": "construct",
+    "verify_injectivity": "construct",
+    "verify_sumset_identity": "construct",
+    "OptimizationReport": "optimize",
+    "ThetaPoint": "optimize",
+    "maximize_a": "optimize",
+    "maximize_r": "optimize",
+    "table1": "optimize",
+    "theta_objective": "optimize",
+    "RateQuery": "ratefn",
+    "RateResult": "ratefn",
+    "log_W_rate_limit": "ratefn",
+    "log_mgf": "ratefn",
+    "rate_I": "ratefn",
+    "tilted_mean": "ratefn",
+    "CountValue": "wcount",
+    "EnumerationCapError": "wcount",
+    "LatticeVector": "wcount",
+    "WParams": "wcount",
+    "binomial": "wcount",
+    "count_W": "wcount",
+    "enumerate_W": "wcount",
+    "log_count_rate": "wcount",
+}
+
+_SUBMODULES = {"cli", *_HOME.values()}
+
+__all__ = ["BACKEND_NAME", *sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # importing a submodule binds it on the package, so this runs once per name
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -4,19 +4,22 @@ Every invocation runs one subcommand and writes a single JSON record to
 stdout (or a CSV table for ``table1 --format csv``).  Progress and error
 messages go to stderr.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
+
+Each subcommand imports only the submodule it runs, so a cold ``count``
+never loads ``optimize`` or ``construct``.  The record's ``runtimeMillis``
+times the subcommand alone: it leaves out interpreter start, imports and
+argument parsing.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 import time
 
-from . import BACKEND_NAME, construct, optimize, wcount
+from . import BACKEND_NAME
 from .ratefn import DEFAULT_TOL, RateQuery, rate_I
-from .wcount import WParams
 
 SCHEMA_VERSION = "1"
 
@@ -35,8 +38,11 @@ def _emit(command: str, parameters: dict, results, started: float) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _cmd_count(args, started) -> int:
-    cv = wcount.count_W(WParams(args.m, args.L, args.B))
+def _cmd_count(args) -> int:
+    from . import wcount
+
+    started = time.perf_counter()
+    cv = wcount.count_W(wcount.WParams(args.m, args.L, args.B))
     _emit(
         "count",
         {"m": args.m, "L": args.L, "B": args.B},
@@ -46,8 +52,11 @@ def _cmd_count(args, started) -> int:
     return 0
 
 
-def _cmd_enumerate(args, started) -> int:
-    vectors = wcount.enumerate_W(WParams(args.m, args.L, args.B), args.cap)
+def _cmd_enumerate(args) -> int:
+    from . import wcount
+
+    started = time.perf_counter()
+    vectors = wcount.enumerate_W(wcount.WParams(args.m, args.L, args.B), args.cap)
     _emit(
         "enumerate",
         {"m": args.m, "L": args.L, "B": args.B, "cap": args.cap},
@@ -57,7 +66,8 @@ def _cmd_enumerate(args, started) -> int:
     return 0
 
 
-def _cmd_rate(args, started) -> int:
+def _cmd_rate(args) -> int:
+    started = time.perf_counter()
     res = rate_I(RateQuery(args.c, args.B), args.tol)
     if res.t_star is None:
         t_star = None
@@ -79,8 +89,11 @@ def _cmd_rate(args, started) -> int:
     return 0
 
 
-def _cmd_bound(args, started) -> int:
-    p = WParams(args.m, args.L, args.B)
+def _cmd_bound(args) -> int:
+    from . import construct, wcount
+
+    started = time.perf_counter()
+    p = wcount.WParams(args.m, args.L, args.B)
     report = construct.theta_bound(p)
     if args.dump_set is not None:
         U = construct.build_U(p, args.cap)
@@ -110,7 +123,10 @@ def _cmd_bound(args, started) -> int:
     return 0
 
 
-def _cmd_verify(args, started) -> int:
+def _cmd_verify(args) -> int:
+    from . import construct, wcount
+
+    started = time.perf_counter()
     if args.max_m < 0 or args.max_L < 0 or args.max_B < 1:
         raise ValueError(
             "the grid is empty: need --max-m >= 0, --max-L >= 0 and --max-B >= 1, got "
@@ -121,7 +137,7 @@ def _cmd_verify(args, started) -> int:
     for m in range(args.max_m + 1):
         for L in range(args.max_L + 1):
             for B in range(1, args.max_B + 1):
-                p = WParams(m, L, B)
+                p = wcount.WParams(m, L, B)
                 row = {
                     "m": m,
                     "L": L,
@@ -143,21 +159,28 @@ def _cmd_verify(args, started) -> int:
     return 0 if all_pass else 1
 
 
-def _cmd_optimize(args, started) -> int:
+def _cmd_optimize(args) -> int:
+    from . import optimize
+
+    started = time.perf_counter()
     report = optimize.maximize_r(args.B, args.eps, args.rate_tol)
     _emit(
         "optimize",
         {"B": args.B, "eps": args.eps, "rate_tol": args.rate_tol, "backend": BACKEND_NAME},
-        dataclasses.asdict(report),
+        report._asdict(),
         started,
     )
     return 0
 
 
-def _cmd_table1(args, started) -> int:
-    rows = optimize.table1(tuple(args.eps_list), args.b_range, args.rate_tol)
+def _cmd_table1(args) -> int:
+    from . import optimize
+
+    started = time.perf_counter()
+    eps_list = optimize.TABLE_EPS if args.eps_list is None else args.eps_list
+    rows = optimize.table1(tuple(eps_list), args.b_range, args.rate_tol)
     if args.format == "csv":
-        header = ["B"] + [f"eps={eps:g}" for eps in args.eps_list]
+        header = ["B"] + [f"eps={eps:g}" for eps in eps_list]
         sys.stdout.write(",".join(header) + "\n")
         for row in rows:
             cells = [str(row[0].B)] + [repr(cell.theta_minus_1) for cell in row]
@@ -166,14 +189,14 @@ def _cmd_table1(args, started) -> int:
     _emit(
         "table1",
         {
-            "eps_list": list(args.eps_list),
+            "eps_list": list(eps_list),
             "b_range": list(args.b_range),
             "rate_tol": args.rate_tol,
             "backend": BACKEND_NAME,
         },
         {
             "b_values": [row[0].B for row in rows],
-            "cells": [[dataclasses.asdict(cell) for cell in row] for row in rows],
+            "cells": [[cell._asdict() for cell in row] for row in rows],
         },
         started,
     )
@@ -237,7 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_optimize)
 
     p = sub.add_parser("table1", help="the B x eps table of optima")
-    p.add_argument("--eps-list", type=float, nargs="+", default=list(optimize.TABLE_EPS))
+    # None stands for optimize.TABLE_EPS, resolved in _cmd_table1 so that
+    # building the parser loads no optimize
+    p.add_argument("--eps-list", type=float, nargs="+", default=None)
     p.add_argument("--b-range", type=_parse_b_range, default=(3, 10))
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--rate-tol", type=float, default=DEFAULT_TOL)
@@ -252,9 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    started = time.perf_counter()
     try:
-        return args.run(args, started)
+        return args.run(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

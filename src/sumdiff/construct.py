@@ -20,7 +20,7 @@ unbounded sets V(m, L).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .wcount import (
     CountValue,
@@ -41,8 +41,7 @@ IntegerSet = tuple[int, ...]
 MAX_CONVOLUTION_TERMS = 4_000
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Difference/sum counts of U and the exponent bound they certify."""
 
     set_size: CountValue  # |U|

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .ratefn import DEFAULT_TOL, _rate_value, check_tol
+from .ratefn import DEFAULT_TOL, MAX_B, _rate_value, check_tol
 
 #: tolerance columns of the reference table
 TABLE_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
@@ -27,8 +27,7 @@ _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _BRENT_MAXFUN = 500
 
 
-@dataclass(frozen=True)
-class ThetaPoint:
+class ThetaPoint(NamedTuple):
     """One evaluation of the bound at (B, r, a)."""
 
     B: int
@@ -37,8 +36,7 @@ class ThetaPoint:
     theta_minus_1: float
 
 
-@dataclass(frozen=True)
-class OptimizationReport:
+class OptimizationReport(NamedTuple):
     """Per-B optimum at a given search tolerance: one table cell."""
 
     B: int
@@ -52,6 +50,9 @@ class OptimizationReport:
 def _check_B(B) -> None:
     if not isinstance(B, int) or isinstance(B, bool) or B < 1:
         raise ValueError(f"B must be a positive integer, got {B!r}")
+    # the numerator solves I(2r, 2B)
+    if 2 * B > MAX_B:
+        raise ValueError(f"2B = {2 * B} exceeds the rate solve's limit of {MAX_B}")
 
 
 def _check_eps(eps) -> None:

@@ -13,7 +13,7 @@ c*m, hence the growth rate of the bounded simplex counts:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: rate-solve tolerance: the tilt t* is found to about this absolute
 #: accuracy; fixed independently of any outer search
@@ -22,28 +22,31 @@ DEFAULT_TOL = 1e-12
 #: hard cap on the steps of one rate solve
 _MAX_ITER = 100
 
+#: largest support bound B of a rate solve; each solve step sums B + 1
+#: terms, so B is checked before any solve starts
+MAX_B = 10_000
 
-@dataclass(frozen=True)
-class RateQuery:
-    """Target mean c and support bound B.
+
+class RateQuery(NamedTuple("RateQuery", [("c", float), ("B", int)])):
+    """Target mean c and support bound B, with 0 <= B <= MAX_B.
 
     B = 0 (single-point support, mean 0) is admitted so that callers can
     treat the inner rate term uniformly; every c >= 0 then sits on the zero
     branch.
     """
 
-    c: float
-    B: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.B, int) or isinstance(self.B, bool) or self.B < 0:
-            raise ValueError(f"B must be a nonnegative integer, got {self.B!r}")
-        if not (self.c >= 0.0 and math.isfinite(self.c)):
-            raise ValueError(f"c must be a nonnegative finite real, got {self.c!r}")
+    def __new__(cls, c: float, B: int):
+        if not isinstance(B, int) or isinstance(B, bool) or B < 0:
+            raise ValueError(f"B must be a nonnegative integer, got {B!r}")
+        _check_max_B(B)
+        if not (c >= 0.0 and math.isfinite(c)):
+            raise ValueError(f"c must be a nonnegative finite real, got {c!r}")
+        return super().__new__(cls, c, B)
 
 
-@dataclass(frozen=True)
-class RateResult:
+class RateResult(NamedTuple):
     """I(c, B) with solver diagnostics.
 
     t_star is the optimal tilt: None on the zero branch (no solve), -inf for
@@ -168,8 +171,14 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a finite positive real, got {tol!r}")
 
 
+def _check_max_B(B: int) -> None:
+    if B > MAX_B:
+        raise ValueError(f"B = {B} exceeds the rate solve's limit of {MAX_B}")
+
+
 def _check_t_B(t: float, B: int):
     if not isinstance(B, int) or isinstance(B, bool) or B < 1:
         raise ValueError(f"B must be a positive integer, got {B!r}")
+    _check_max_B(B)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")

@@ -9,8 +9,7 @@ rate is the logarithm of the same count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 #: coordinate vector of a lattice point
 LatticeVector = tuple[int, ...]
@@ -32,28 +31,19 @@ def enum_cap(cap: int | None = None) -> int:
     return DEFAULT_ENUM_CAP if cap is None else cap
 
 
-@dataclass(frozen=True)
-class WParams:
+class WParams(NamedTuple("WParams", [("m", int), ("L", int), ("B", int)])):
     """Parameter triple (m, L, B): dimension, sum bound, coordinate bound."""
 
-    m: int
-    L: int
-    B: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("m", "L", "B"):
-            v = getattr(self, name)
+    def __new__(cls, m: int, L: int, B: int):
+        for name, v in (("m", m), ("L", L), ("B", B)):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-
-    @property
-    def effective_L(self) -> int:
-        """Sum bound after saturation: coordinates cannot exceed m*B in total."""
-        return min(self.L, self.m * self.B)
+        return super().__new__(cls, m, L, B)
 
 
-@dataclass(frozen=True)
-class CountValue:
+class CountValue(NamedTuple):
     """An exact nonnegative integer count with its natural logarithm."""
 
     exact: int

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from sumdiff import cli, construct, wcount
+import sumdiff
+from sumdiff import cli, construct, optimize, ratefn, wcount
 from sumdiff.cli import main
-from sumdiff.ratefn import RateResult
+from sumdiff.ratefn import MAX_B, RateResult
 from sumdiff.wcount import CountValue
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -172,6 +173,25 @@ def test_non_finite_result_exit_2(capsys, monkeypatch):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("rate", "--c", "1", "--B", str(MAX_B + 1)),
+     ("optimize", "--B", str(MAX_B // 2 + 1), "--eps", "1e-4")],
+    ids=lambda argv: " ".join(argv),
+)
+def test_B_past_rate_limit_exit_2(capsys, monkeypatch, argv):
+    # the limit is checked before any solve: a solve step sums B + 1 terms
+    def no_solve(*args):
+        raise AssertionError("rate solve started past the limit")
+
+    monkeypatch.setattr(ratefn, "_rate_value", no_solve)
+    monkeypatch.setattr(optimize, "_rate_value", no_solve)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(MAX_B) in err
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--m", "3"])
@@ -252,16 +272,59 @@ def test_count_past_int_digit_limit(capsys, monkeypatch):
     assert record["results"]["count"] == "1" + "0" * 5000
 
 
-def test_import_cli_leaves_numpy_unloaded():
+def _fresh(script: str) -> str:
+    """stdout of `script` in a fresh interpreter with src/ on the path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
+    )
+    return done.stdout
+
+
+def test_import_cli_loads_no_dataclasses_or_inspect():
+    # against what a bare interpreter has loaded already
+    added = _fresh(
+        "import sys; before = set(sys.modules); import sumdiff.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    ).split()
+    assert "sumdiff.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added
+
+
+def test_count_loads_no_optimize_or_construct():
+    loaded = _fresh(
+        "import io, sys; from contextlib import redirect_stdout; from sumdiff.cli import main; "
+        "out = io.StringIO()\n"
+        "with redirect_stdout(out): code = main(['count', '--m', '3', '--L', '2', '--B', '5'])\n"
+        "print(code, 'sumdiff.optimize' in sys.modules, 'sumdiff.construct' in sys.modules)"
+    ).split()
+    assert loaded == ["0", "False", "False"]
+
+
+def test_public_name_loads_only_its_submodule():
+    loaded = _fresh(
+        "import sys; from sumdiff import log_count_rate; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('sumdiff.'))))"
+    ).split()
+    assert loaded == ["sumdiff.wcount"]
+
+
+def test_every_public_and_submodule_name_resolves():
+    for name in sumdiff.__all__:
+        assert getattr(sumdiff, name) is not None
+    for name in ("cli", "construct", "optimize", "ratefn", "wcount"):
+        assert getattr(sumdiff, name).__name__ == f"sumdiff.{name}"
+    assert sumdiff.log_count_rate is wcount.log_count_rate
+    with pytest.raises(AttributeError):
+        sumdiff.no_such_name
+
+
+def test_import_cli_leaves_numpy_unloaded():
     script = (
         "import sys, sumdiff.cli; print('numpy' in sys.modules); "
         # None in sys.modules makes any later `import numpy` raise ImportError
         "sys.modules['numpy'] = None; import sumdiff; print(sumdiff.log_count_rate(3000, 1.0, 3))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
-    )
-    loaded, rate = done.stdout.split()
+    loaded, rate = _fresh(script).split()
     assert loaded == "False"
     assert math.isfinite(float(rate))

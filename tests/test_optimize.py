@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -11,7 +10,7 @@ from sumdiff.optimize import (
     table1,
     theta_objective,
 )
-from sumdiff.ratefn import DEFAULT_TOL, RateQuery, rate_I
+from sumdiff.ratefn import DEFAULT_TOL, MAX_B, RateQuery, rate_I
 
 # reference column at eps = 1e-10 (fourth column of the published table)
 REFERENCE_1E10 = {
@@ -107,6 +106,17 @@ class TestMaximizeR:
         with pytest.raises(ValueError):
             maximize_r(3, -1e-8)
 
+    def test_refuses_B_past_rate_limit(self):
+        # the numerator solves I(2r, 2B), so 2B is held to the rate solve's limit
+        B = MAX_B // 2 + 1
+        for call in (
+            lambda: maximize_r(B, 1e-4),
+            lambda: maximize_a(B, 1.0, 1e-4),
+            lambda: theta_objective(B, 1.0, 0.5),
+        ):
+            with pytest.raises(ValueError, match=str(MAX_B)):
+                call()
+
 
 class TestTable1:
     @pytest.fixture(scope="class")
@@ -183,7 +193,7 @@ def test_maximize_a_rejects_empty_bracket_at_large_r():
 def test_default_eps_columns_match_published_layout():
     assert TABLE_EPS == (1e-4, 1e-6, 1e-8, 1e-10)
     assert DEFAULT_TOL == 1e-12
-    assert set(dataclasses.asdict(maximize_r(3, 1e-4)).keys()) == {
+    assert set(maximize_r(3, 1e-4)._asdict().keys()) == {
         "B",
         "epsilon",
         "r_star",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sumdiff.ratefn import (
     _MAX_ITER,
     DEFAULT_TOL,
+    MAX_B,
     RateQuery,
     RateResult,
     log_W_rate_limit,
@@ -211,6 +212,17 @@ class TestRateI:
             RateQuery(0.5, -1)
         with pytest.raises(ValueError):
             rate_I(RateQuery(0.5, 2), tol=0.0)
+
+    def test_B_limit(self):
+        # every solve step sums B + 1 terms, so B is refused before solving
+        assert rate_I(RateQuery(1.0, MAX_B)).value > 0
+        for call in (
+            lambda: RateQuery(1.0, MAX_B + 1),
+            lambda: log_mgf(-1.0, MAX_B + 1),
+            lambda: tilted_mean(-1.0, MAX_B + 1),
+        ):
+            with pytest.raises(ValueError, match=str(MAX_B)):
+                call()
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
     def test_rejects_tol_not_finite_positive(self, tol):

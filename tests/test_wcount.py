@@ -180,3 +180,10 @@ class TestLogCountRate:
 def test_count_value_of_zero():
     assert CountValue.of(0).exact == 0
     assert CountValue.of(0).log_value == -math.inf
+
+
+def test_wparams_is_immutable():
+    p = WParams(3, 2, 5)
+    with pytest.raises(AttributeError):
+        p.m = 4
+    assert p == WParams(3, 2, 5)
