@@ -13,13 +13,17 @@ greedy fill of the top digits for max U, without building U or forming a
 pair.  The brute-force path (``build_U``, ``sumset``, ``diffset``,
 ``theta_bound_exact``) is its oracle: it enumerates U and all |U|^2 pairs,
 held to the enumeration cap, which is checked before any pair is formed.
-The ``verify_*`` checks compare the two at desk scale.  The legacy radix map
+The ``verify_*`` checks compare the two at desk scale; they hold n^2 pairs to
+the cap but form only the pairs i <= j, since x + y = y + x and, over sorted
+items, x_j - x_i is the negation of x_i - x_j.  The legacy radix map
 f with weights w_0 = 1, w_k = 2L*w_{k-1} + 1 plays the same role for the
 unbounded sets V(m, L).
 """
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, sub
 from typing import NamedTuple
 
 from .wcount import (
@@ -118,6 +122,34 @@ def diffset(U: IntegerSet, cap: int | None = None) -> IntegerSet:
     return tuple(sorted({u - v for u in U for v in U}))
 
 
+def _half_pairs(op, items) -> set:
+    """{op(x_i, x_j) : i <= j} over a sequence, with op taken coordinate by coordinate on tuples."""
+    out = set()
+    for i, x in enumerate(items):
+        if isinstance(x, tuple):
+            out.update(tuple(map(op, x, y)) for y in items[i:])
+        else:
+            out.update(map(op, repeat(x), items[i:]))
+    return out
+
+
+def _distinct_sums(items) -> int:
+    """|{x + y : x, y in items}| from the pairs i <= j alone, since x + y = y + x."""
+    return len(_half_pairs(add, items))
+
+
+def _distinct_diffs(items) -> int:
+    """|{x - y : x, y in items}| from the pairs i <= j of the sorted items.
+
+    Sorted, every x_i - x_j with i <= j is <= 0 (lexicographically, for
+    tuples) and its negation is >= 0, so for the set A of those differences
+    the full set is the union of A and -A, which meet only in 0: 2|A| - 1
+    members, duplicates or not.  Empty items have none.
+    """
+    items = sorted(items)
+    return 2 * len(_half_pairs(sub, items)) - 1 if items else 0
+
+
 def _report(n: int, d: int, s: int, q: int) -> BoundReport:
     # the one theta expression, so the counted and paired bounds agree bit for bit
     theta = 1.0 + (math.log(d) - math.log(s)) / math.log(q)
@@ -203,17 +235,28 @@ def theta_bound(p: WParams) -> BoundReport:
 
 
 def verify_sumset_identity(p: WParams, cap: int | None = None) -> bool:
-    """Check |U+U| = |W(m, 2L, 2B)| by exhaustive pair enumeration."""
-    lhs = len(sumset(build_U(p, cap), cap))
+    """Check |U+U| = |W(m, 2L, 2B)| by exhaustive pair enumeration.
+
+    The cap holds |U|^2 pairs, but only the pairs i <= j are formed, since
+    u + v = v + u.
+    """
+    U = build_U(p, cap)
+    _check_pairs(len(U), cap)
+    lhs = _distinct_sums(U)
     rhs = count_W(WParams(p.m, 2 * p.L, 2 * p.B)).exact
     return lhs == rhs
 
 
 def verify_diffset_identity(p: WParams, cap: int | None = None) -> bool:
-    """Check the difference-set convolution ``diff_count`` by exhaustive enumeration."""
+    """Check the difference-set convolution ``diff_count`` by exhaustive enumeration.
+
+    The cap holds |U|^2 pairs, but only the pairs i <= j of sorted U are
+    formed, since U - U is those differences and their negations.
+    """
     rhs = diff_count(p).exact
-    lhs = len(diffset(build_U(p, cap), cap))
-    return lhs == rhs
+    U = build_U(p, cap)
+    _check_pairs(len(U), cap)
+    return _distinct_diffs(U) == rhs
 
 
 def verify_injectivity(p: WParams, encoding: str = "g", cap: int | None = None) -> bool:
@@ -223,6 +266,10 @@ def verify_injectivity(p: WParams, encoding: str = "g", cap: int | None = None) 
     encoding "f": legacy radix map on V(m, L) (i.e. W with B = L).
     A map is injective on W+W exactly when distinct vector sums get distinct
     integers, so cardinalities of the two images are compared; likewise W-W.
+    Vector sums and differences are taken coordinate by coordinate, never
+    through a digit map.  The cap holds |W|^2 pairs, but only the pairs
+    i <= j are formed, for sums by symmetry and for differences over sorted
+    items by negation.
     """
     if encoding == "g":
         vectors = enumerate_W(p, cap)
@@ -238,15 +285,6 @@ def verify_injectivity(p: WParams, encoding: str = "g", cap: int | None = None) 
     else:
         raise ValueError(f"encoding must be 'g' or 'f', got {encoding!r}")
     _check_pairs(len(vectors), cap)
-
-    vec_sums = set()
-    vec_diffs = set()
-    int_sums = set()
-    int_diffs = set()
-    for i, x in enumerate(vectors):
-        for j, y in enumerate(vectors):
-            vec_sums.add(tuple(a + b for a, b in zip(x, y)))
-            vec_diffs.add(tuple(a - b for a, b in zip(x, y)))
-            int_sums.add(images[i] + images[j])
-            int_diffs.add(images[i] - images[j])
-    return len(vec_sums) == len(int_sums) and len(vec_diffs) == len(int_diffs)
+    if _distinct_sums(vectors) != _distinct_sums(images):
+        return False
+    return _distinct_diffs(vectors) == _distinct_diffs(images)

@@ -215,22 +215,23 @@ def maximize_r(B: int, eps: float, tol: float = DEFAULT_TOL) -> OptimizationRepo
 
     The inner value is a non-smooth function of r at coarse eps, so the outer
     search is the same derivative-free bracketed scheme.  evaluations counts
-    the objective evaluations of every inner search, the final one included.
+    the objective evaluations of every inner search; r* is one of the points
+    the outer search evaluated, so its inner result is kept, not searched again.
     """
     _check_B(B)
     _check_eps(eps)
     check_tol(tol)
     evaluations = 0
+    searched = {}
 
     def outer(r):
         nonlocal evaluations
-        _, value, num = _search_a(B, r, eps, tol)
+        _, value, num = searched[r] = _search_a(B, r, eps, tol)
         evaluations += num
         return -value
 
     r_star, _, _ = _brent_min(outer, 0.5, 2.0, eps)
-    a_star, value, num = _search_a(B, r_star, eps, tol)
-    evaluations += num
+    a_star, value, _ = searched[r_star]
     margin = 10.0 * max(eps, 1e-8)
     if r_star - 0.5 < margin or 2.0 - r_star < margin:
         warnings.warn(f"r* = {r_star} sits at the edge of [0.5, 2] for B={B}", stacklevel=2)

@@ -91,6 +91,14 @@ def test_verify_passes(capsys):
     assert all(r["sumset_identity"] and r["diffset_identity"] and r["injective_g"] for r in rows)
 
 
+def test_verify_fails_exit_1(capsys, monkeypatch):
+    # base 2B in place of 2B + 1: (2, 0) and (0, 1) of W + W collide at 2
+    monkeypatch.setattr(construct, "encode_g", lambda x, B: sum(c * (2 * B) ** k for k, c in enumerate(x)))
+    code, out, _ = run(capsys, "verify", "--max-m", "2", "--max-L", "2", "--max-B", "1")
+    assert code == 1
+    assert '"all_pass": false' in out
+
+
 @pytest.mark.parametrize(
     "grid",
     [("--max-B", "0"), ("--max-m", "-1"), ("--max-L", "-3")],

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sumdiff import construct
 from sumdiff.construct import (
+    _distinct_diffs,
+    _distinct_sums,
     build_U,
     diffset,
     encode_f,
@@ -210,3 +213,43 @@ class TestInjectivity:
     def test_rejects_unknown_encoding(self):
         with pytest.raises(ValueError):
             verify_injectivity(WParams(2, 2, 1), "h")
+
+
+# equal-length integer tuples, of one dimension 0..3 per list
+vector_lists = st.integers(0, 3).flatmap(
+    lambda k: st.lists(st.tuples(*[st.integers(-4, 4)] * k), max_size=30)
+)
+
+
+def _colliding_g(x, B):
+    # base 2B: injective on W, whose digits are at most B < 2B, but
+    # not on W + W, where a digit may reach 2B and carry
+    return sum(c * (2 * B) ** k for k, c in enumerate(x))
+
+
+class TestPairCounters:
+    """The i <= j counters behind the verify checks, against full-pair oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-20, 20), max_size=40))
+    @example([])
+    @example(build_U(WParams(3, 3, 2)))
+    def test_integers_match_sumset_and_diffset(self, items):
+        assert _distinct_sums(items) == len(sumset(tuple(items)))
+        assert _distinct_diffs(items) == len(diffset(tuple(items)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(vector_lists)
+    # the vectors of test_image_cardinalities_match_vector_oracle
+    @example(enumerate_W(WParams(3, 3, 2)))
+    def test_vectors_match_full_pair_sets(self, items):
+        sums = {tuple(a + b for a, b in zip(x, y)) for x in items for y in items}
+        diffs = {tuple(a - b for a, b in zip(x, y)) for x in items for y in items}
+        assert _distinct_sums(items) == len(sums)
+        assert _distinct_diffs(items) == len(diffs)
+
+    def test_checks_fail_on_a_colliding_map(self, monkeypatch):
+        monkeypatch.setattr(construct, "encode_g", _colliding_g)
+        p = WParams(2, 2, 1)
+        assert not verify_injectivity(p, "g")
+        assert not verify_sumset_identity(p)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sumdiff import optimize
 from sumdiff.optimize import (
     TABLE_EPS,
     OptimizationReport,
@@ -99,6 +100,20 @@ class TestMaximizeR:
 
     def test_deterministic(self):
         assert maximize_r(6, 1e-8) == maximize_r(6, 1e-8)
+
+    def test_searches_each_r_once(self, monkeypatch):
+        # r* is a point the outer search evaluated, so its a-search is not repeated
+        searched = []
+        inner = optimize._search_a
+
+        def counting(B, r, eps, tol):
+            searched.append(r)
+            return inner(B, r, eps, tol)
+
+        monkeypatch.setattr(optimize, "_search_a", counting)
+        rep = maximize_r(5, 1e-8)
+        assert rep.r_star in searched
+        assert len(searched) == len(set(searched))
 
     def test_validation(self):
         with pytest.raises(ValueError):
