@@ -4,7 +4,11 @@ I(c, B) is zero for c >= B/2 (the event is typical) and otherwise the
 Legendre transform sup_t (t*c - log((1 + e^t + ... + e^{Bt})/(B+1))),
 attained at the negative tilt t* where the tilted mean equals c.  t* is
 found by a safeguarded Newton iteration whose derivative is the tilted
-variance (d/dt tilted_mean = Var_t); B = 1 has a closed form.  It governs
+variance (d/dt tilted_mean = Var_t); B = 1 has a closed form.  The tilted
+law is a truncated geometric law, so each step takes its mean and variance
+in closed form, in O(1) for any B, and the log-MGF is taken once, at t*;
+within 1e-2 of t = 0, where that form cancels, the B + 1 terms are summed
+directly.  It governs
 the exponential decay of the probability that m uniform draws sum to at most
 c*m, hence the growth rate of the bounded simplex counts:
 
@@ -22,8 +26,13 @@ DEFAULT_TOL = 1e-12
 #: hard cap on the steps of one rate solve
 _MAX_ITER = 100
 
-#: largest support bound B of a rate solve; each solve step sums B + 1
-#: terms, so B is checked before any solve starts
+#: tilts with |t| below this are summed term by term: there the closed-form
+#: mean's error of about 2*2^-52/|t| is at most 4.4e-14, under a tenth of
+#: the solve's stop test tol*min(1, c) at the default tol, as c > 0.49 there
+_SUM_BELOW = 1e-2
+
+#: largest support bound B of a rate solve; a step within _SUM_BELOW of
+#: t = 0 still sums B + 1 terms, so B is checked before any solve starts
 MAX_B = 10_000
 
 
@@ -62,25 +71,60 @@ class RateResult(NamedTuple):
     residual: float
 
 
-def _moments(t: float, B: int) -> tuple[float, float, float]:
-    """(mean, variance, log-MGF) of the tilted distribution, in one pass.
+def _moments(t: float, B: int) -> tuple[float, float]:
+    """(mean, variance) of the tilted distribution, in O(1) for |t| >= _SUM_BELOW.
 
-    The max exponent max(0, B*t) is shifted out before exponentiating, so
-    the sums stay in range for any representable t; underflow of far terms
-    is harmless.
+    Tilted by t = -u < 0, the uniform law on {0..B} is a truncated geometric
+    law.  With n = B + 1, x = e^-u and x^n = e^-nu:
+
+        mean = x/(1-x) - n x^n/(1-x^n),    var = x/(1-x)^2 - n^2 x^n/(1-x^n)^2
+
+    x and x^n come from exp and 1 - x, 1 - x^n from expm1, so each keeps its
+    relative precision at every u.  t > 0 follows by the symmetry j -> B - j:
+    the mean is B - mean(-t) and the variance is unchanged.  Near t = 0 the
+    two mean terms, each about 1/u, cancel to about B/2 with an absolute
+    error of about 2*2^-52/u, so below _SUM_BELOW the moments are summed
+    over j = 0..B directly instead, in O(B).
     """
-    shift = B * t if t > 0.0 else 0.0
-    s0 = 0.0
-    s1 = 0.0
-    s2 = 0.0
-    for j in range(B + 1):
-        e = math.exp(j * t - shift)
-        s0 += e
-        je = j * e
-        s1 += je
-        s2 += j * je
-    mean = s1 / s0
-    return mean, s2 / s0 - mean * mean, shift + math.log(s0) - math.log(B + 1)
+    u = abs(t)
+    n = B + 1
+    if u < _SUM_BELOW:
+        s0 = 0.0
+        s1 = 0.0
+        s2 = 0.0
+        for j in range(n):
+            e = math.exp(-j * u)
+            s0 += e
+            je = j * e
+            s1 += je
+            s2 += j * je
+        mean = s1 / s0
+        var = s2 / s0 - mean * mean
+    else:
+        x = math.exp(-u)
+        xn = math.exp(-n * u)
+        a = -math.expm1(-u)
+        b = -math.expm1(-n * u)
+        mean = x / a - n * xn / b
+        var = x / (a * a) - n * n * xn / (b * b)
+    if t > 0.0:
+        return B - mean, var
+    return mean, var
+
+
+def _log_mgf(t: float, B: int) -> float:
+    """log of the mean of e^(j*t) over j = 0..B, in the closed form of _moments.
+
+    For t = -u < 0 it is log(expm1(-nu)/expm1(-u)) - log n, summed directly
+    below _SUM_BELOW; t > 0 adds B*t to the value at -t.
+    """
+    u = abs(t)
+    n = B + 1
+    if u < _SUM_BELOW:
+        lmgf = math.log(sum(math.exp(-j * u) for j in range(n)) / n)
+    else:
+        lmgf = math.log(math.expm1(-n * u) / math.expm1(-u)) - math.log(n)
+    return lmgf + B * t if t > 0.0 else lmgf
 
 
 def _rate_value(c: float, B: int, tol: float) -> tuple[float, float, int, float]:
@@ -89,14 +133,16 @@ def _rate_value(c: float, B: int, tol: float) -> tuple[float, float, int, float]
     B == 0 is on the zero branch for every c, and B == 1 has the closed
     form I(c, 1) = log 2 - H(c) at t* = log(c/(1-c)).  Otherwise Newton's
     method runs on tilted_mean(t) - c, whose derivative is the tilted
-    variance, from the smaller of the small-tilt guess (c - B/2)*12/(B(B+2))
+    variance, both from _moments in O(1) per step away from t = 0, from the
+    smaller of the small-tilt guess (c - B/2)*12/(B(B+2))
     and the small-c guess log(c).  Every evaluation tightens a bracket
     [t_lo, 0] around the root; a step that leaves it is replaced by
     bisection, or by doubling t while t_lo is still -inf.  The solve stops
     once |tilted_mean(t) - c| <= tol*min(1, c), which puts t within about
     tol of t* at every c > 0, or once the bracket admits no new point, or
-    after _MAX_ITER steps.  residual is |tilted_mean(t*) - c| at the
-    returned t*.
+    after _MAX_ITER steps.  The log-MGF in the value t*c - log_mgf(t*) is
+    taken at the returned t* alone.  residual is |tilted_mean(t*) - c| at
+    the returned t*.
     """
     if B <= 0 or c >= 0.5 * B:
         return (0.0, math.nan, 0, 0.0)
@@ -112,7 +158,7 @@ def _rate_value(c: float, B: int, tol: float) -> tuple[float, float, int, float]
     t = min((c - 0.5 * B) * 12.0 / (B * (B + 2)), math.log(c))
     iterations = 0
     while True:
-        mean, var, lmgf = _moments(t, B)
+        mean, var = _moments(t, B)
         resid = mean - c
         if abs(resid) <= target or iterations == _MAX_ITER:
             break
@@ -128,13 +174,13 @@ def _rate_value(c: float, B: int, tol: float) -> tuple[float, float, int, float]
                 break
         t = step
         iterations += 1
-    return (max(t * c - lmgf, 0.0), t, iterations, abs(resid))
+    return (max(t * c - _log_mgf(t, B), 0.0), t, iterations, abs(resid))
 
 
 def log_mgf(t: float, B: int) -> float:
     """log of the mean of e^(j*t) over j = 0..B, stable for any finite t."""
     _check_t_B(t, B)
-    return _moments(t, B)[2]
+    return _log_mgf(t, B)
 
 
 def tilted_mean(t: float, B: int) -> float:

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from sumdiff.ratefn import (
     _MAX_ITER,
+    _SUM_BELOW,
     DEFAULT_TOL,
     MAX_B,
     RateQuery,
     RateResult,
+    _moments,
     log_W_rate_limit,
     log_mgf,
     rate_I,
@@ -22,26 +24,43 @@ def entropy(c):
     return -c * math.log(c) - (1 - c) * math.log(1 - c)
 
 
+def sum_moments(t, B):
+    """Oracle: (mean, variance, log-MGF) of the tilted law by the direct sum over j = 0..B.
+
+    The max exponent max(0, B*t) is shifted out before exponentiating, so
+    the sums stay in range for any finite t.
+    """
+    shift = B * t if t > 0.0 else 0.0
+    s0 = s1 = s2 = 0.0
+    for j in range(B + 1):
+        e = math.exp(j * t - shift)
+        s0 += e
+        s1 += j * e
+        s2 += j * j * e
+    mean = s1 / s0
+    return mean, s2 / s0 - mean * mean, shift + math.log(s0) - math.log(B + 1)
+
+
 def bisect_rate(c, B, tol=DEFAULT_TOL):
-    """Oracle: I(c, B) for interior c by monotone bisection on the tilted mean.
+    """Oracle: I(c, B) for interior c by monotone bisection on sum_moments' mean.
 
     The bracket's low end -2*log(B+1)/max(c, 0.01) is doubled until it
     straddles the root, then the bracket is halved down to width tol in t.
     """
     t_lo = -2.0 * math.log(B + 1) / max(c, 0.01)
-    while tilted_mean(t_lo, B) >= c:
+    while sum_moments(t_lo, B)[0] >= c:
         t_lo *= 2.0
     t_hi = 0.0
     while t_hi - t_lo > tol:
         t_mid = 0.5 * (t_lo + t_hi)
         if t_mid == t_lo or t_mid == t_hi:
             break
-        if tilted_mean(t_mid, B) < c:
+        if sum_moments(t_mid, B)[0] < c:
             t_lo = t_mid
         else:
             t_hi = t_mid
     t = 0.5 * (t_lo + t_hi)
-    return max(t * c - log_mgf(t, B), 0.0)
+    return max(t * c - sum_moments(t, B)[2], 0.0)
 
 
 @st.composite
@@ -93,7 +112,7 @@ class TestLogMgf:
         assert abs(log_mgf(-50.0, 3) - (-math.log(4))) < 1e-12
 
     def test_large_positive_tilt_stable(self):
-        # shift keeps exp in range: asymptote B*t - log(B+1)
+        # taken at -t by symmetry, so exp stays in range: asymptote B*t - log(B+1)
         B, t = 4, 500.0
         assert math.isclose(log_mgf(t, B), B * t - math.log(B + 1), rel_tol=1e-12)
 
@@ -125,6 +144,40 @@ class TestTiltedMean:
     @given(st.integers(1, 10), st.floats(-30, 30), st.floats(0.01, 5))
     def test_nondecreasing(self, B, t, dt):
         assert tilted_mean(t, B) <= tilted_mean(t + dt, B)
+
+
+class TestClosedForm:
+    # Tolerances from the worst case of 600,000 random draws plus these
+    # examples: mean 5.6e-14 relative (B = 1 just past _SUM_BELOW), variance
+    # 1.7e-11 relative, log-MGF 1.3e-15 * max(1, |log-MGF|).
+    @settings(max_examples=300)
+    @given(st.integers(1, 40), st.floats(-700.0, 700.0))
+    @example(MAX_B, _SUM_BELOW)
+    @example(MAX_B, -_SUM_BELOW)
+    @example(MAX_B, 0.0)
+    @example(MAX_B, 700.0)
+    @example(MAX_B, -700.0)
+    @example(1, _SUM_BELOW)
+    @example(1, -_SUM_BELOW)
+    @example(2, math.nextafter(-_SUM_BELOW, 0.0))
+    @example(40, 0.0)
+    def test_matches_direct_sum(self, B, t):
+        mean, var = _moments(t, B)
+        s_mean, s_var, s_lmgf = sum_moments(t, B)
+        assert abs(mean - s_mean) <= 1e-13 * s_mean
+        assert abs(log_mgf(t, B) - s_lmgf) <= 4e-15 * max(1.0, abs(s_lmgf))
+        # the direct sum's variance cancels for t > 0, so compare on t <= 0
+        if t <= 0.0:
+            assert abs(var - s_var) <= 5e-11 * s_var
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 40), st.floats(-700.0, 700.0))
+    @example(36, 28.72)
+    @example(36, 31.72)
+    def test_variance_positive(self, B, t):
+        # the direct sum's s2/s0 - mean^2 cancels at large t: 0.0 at
+        # (t, B) = (28.72, 36) and -6.8e-13 at (31.72, 36)
+        assert _moments(t, B)[1] > 0.0
 
 
 class TestRateI:
@@ -214,7 +267,8 @@ class TestRateI:
             rate_I(RateQuery(0.5, 2), tol=0.0)
 
     def test_B_limit(self):
-        # every solve step sums B + 1 terms, so B is refused before solving
+        # a solve step within _SUM_BELOW of t = 0 sums B + 1 terms, so B is
+        # refused before solving
         assert rate_I(RateQuery(1.0, MAX_B)).value > 0
         for call in (
             lambda: RateQuery(1.0, MAX_B + 1),
