@@ -6,9 +6,10 @@ messages go to stderr.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
 
 Each subcommand imports only the submodule it runs, so a cold ``count``
-never loads ``optimize`` or ``construct``.  The record's ``runtimeMillis``
-times the subcommand alone: it leaves out interpreter start, imports and
-argument parsing.
+never loads ``ratefn``, ``optimize`` or ``construct``.  Every rate solve
+runs at the one fixed tolerance ``ratefn.DEFAULT_TOL``; no option sets it.
+The record's ``runtimeMillis`` times the subcommand alone: it leaves out
+interpreter start, imports and argument parsing.
 """
 from __future__ import annotations
 
@@ -17,9 +18,6 @@ import json
 import math
 import sys
 import time
-
-from . import BACKEND_NAME
-from .ratefn import DEFAULT_TOL, RateQuery, rate_I
 
 SCHEMA_VERSION = "1"
 
@@ -67,8 +65,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    from . import ratefn
+
     started = time.perf_counter()
-    res = rate_I(RateQuery(args.c, args.B), args.tol)
+    res = ratefn.rate_I(ratefn.RateQuery(args.c, args.B))
     if res.t_star is None:
         t_star = None
     elif math.isinf(res.t_star):
@@ -77,7 +77,7 @@ def _cmd_rate(args) -> int:
         t_star = res.t_star
     _emit(
         "rate",
-        {"c": args.c, "B": args.B, "tol": args.tol},
+        {"c": args.c, "B": args.B},
         {
             "value": res.value,
             "t_star": t_star,
@@ -163,10 +163,10 @@ def _cmd_optimize(args) -> int:
     from . import optimize
 
     started = time.perf_counter()
-    report = optimize.maximize_r(args.B, args.eps, args.rate_tol)
+    report = optimize.maximize_r(args.B, args.eps)
     _emit(
         "optimize",
-        {"B": args.B, "eps": args.eps, "rate_tol": args.rate_tol, "backend": BACKEND_NAME},
+        {"B": args.B, "eps": args.eps},
         report._asdict(),
         started,
     )
@@ -178,7 +178,7 @@ def _cmd_table1(args) -> int:
 
     started = time.perf_counter()
     eps_list = optimize.TABLE_EPS if args.eps_list is None else args.eps_list
-    rows = optimize.table1(tuple(eps_list), args.b_range, args.rate_tol)
+    rows = optimize.table1(tuple(eps_list), args.b_range)
     if args.format == "csv":
         header = ["B"] + [f"eps={eps:g}" for eps in eps_list]
         sys.stdout.write(",".join(header) + "\n")
@@ -188,12 +188,7 @@ def _cmd_table1(args) -> int:
         return 0
     _emit(
         "table1",
-        {
-            "eps_list": list(eps_list),
-            "b_range": list(args.b_range),
-            "rate_tol": args.rate_tol,
-            "backend": BACKEND_NAME,
-        },
+        {"eps_list": list(eps_list), "b_range": list(args.b_range)},
         {
             "b_values": [row[0].B for row in rows],
             "cells": [[cell._asdict() for cell in row] for row in rows],
@@ -236,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate", help="rate function I(c, B)")
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--B", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(run=_cmd_rate)
 
     p = sub.add_parser("bound", help="exponent bound of U = g(W) from exact counts")
@@ -256,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize the bound for one B")
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--rate-tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(run=_cmd_optimize)
 
     p = sub.add_parser("table1", help="the B x eps table of optima")
@@ -265,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-list", type=float, nargs="+", default=None)
     p.add_argument("--b-range", type=_parse_b_range, default=(3, 10))
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--rate-tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(run=_cmd_table1)
 
     return parser

@@ -44,6 +44,11 @@ IntegerSet = tuple[int, ...]
 #: min(m, L) + 1 terms, each an exact count
 MAX_CONVOLUTION_TERMS = 4_000
 
+#: largest m*log10(2B+1), about the decimal digits of q = 2*max(U) + 1, that
+#: ``theta_bound`` accepts: every integer of its report is at most q, and
+#: printing one takes time quadratic in its digits
+MAX_Q_DIGITS = 100_000
+
 
 class BoundReport(NamedTuple):
     """Difference/sum counts of U and the exponent bound they certify."""
@@ -215,13 +220,19 @@ def theta_bound(p: WParams) -> BoundReport:
     Equal, field for field and bit for bit in theta, to
     ``theta_bound_exact(build_U(p))``, with no set built and no pair formed.
     Raises ``ValueError`` before counting when min(m, L) exceeds
-    ``MAX_CONVOLUTION_TERMS``.
+    ``MAX_CONVOLUTION_TERMS`` or m*log10(2B+1) exceeds ``MAX_Q_DIGITS``.
     """
     terms = min(p.m, p.L)
     if terms > MAX_CONVOLUTION_TERMS:
         raise ValueError(
             f"min(m, L) = {terms} exceeds the counted bound's limit of "
             f"{MAX_CONVOLUTION_TERMS} convolution terms, each an exact count"
+        )
+    digits = p.m * math.log10(2 * p.B + 1)
+    if digits > MAX_Q_DIGITS:
+        raise ValueError(
+            f"m*log10(2B+1) = {digits:.0f} exceeds the counted bound's limit of "
+            f"{MAX_Q_DIGITS} decimal digits of q"
         )
     top = max_U(p)
     if top < 1:

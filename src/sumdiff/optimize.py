@@ -7,8 +7,9 @@ For fixed B the bound on theta - 1 is
 
 maximized first in a over (0, min(1, 1/r)), then in r over [0.5, 2], both by
 the same bracketed derivative-free search with x-tolerance eps.  The inner
-rate solves run at a fixed tolerance (1e-12) regardless of eps, so the eps
-columns of the result table measure only the 1-D search.
+rate solves all run at the one fixed tolerance ratefn.DEFAULT_TOL (1e-12),
+whatever eps is, so the eps columns of the result table measure only the
+1-D search.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .ratefn import DEFAULT_TOL, MAX_B, _rate_value, check_tol
+from .ratefn import MAX_B, _rate_value
 
 #: tolerance columns of the reference table
 TABLE_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
@@ -61,7 +62,7 @@ def _check_eps(eps) -> None:
         raise ValueError(f"eps must be a real in (0, 0.25), got {eps!r}")
 
 
-def theta_objective(B: int, r: float, a: float, tol: float = DEFAULT_TOL) -> ThetaPoint:
+def theta_objective(B: int, r: float, a: float) -> ThetaPoint:
     """Evaluate the bound at a single point (B, r, a).
 
     a must lie strictly inside (0, min(1, 1/r)): both endpoints are poles of
@@ -69,18 +70,17 @@ def theta_objective(B: int, r: float, a: float, tol: float = DEFAULT_TOL) -> The
     zero (single-point support).
     """
     _check_B(B)
-    check_tol(tol)
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
     if not 0.0 < a < min(1.0, 1.0 / r):
         raise ValueError(f"a={a!r} outside the open interval (0, min(1, 1/r)) for r={r!r}")
-    theta_minus_1 = _numerator(_log_diff_rate(a, r, B, tol), r, B, tol) / math.log(2 * B + 1)
+    theta_minus_1 = _numerator(_log_diff_rate(a, r, B), r, B) / math.log(2 * B + 1)
     if not math.isfinite(theta_minus_1):
         raise ArithmeticError(f"non-finite objective at B={B}, r={r}, a={a}")
     return ThetaPoint(B, r, a, theta_minus_1)
 
 
-def _brent_min(f, x1: float, x2: float, xatol: float, maxfun: int = _BRENT_MAXFUN):
+def _brent_min(f, x1: float, x2: float, xatol: float):
     """Bracketed 1-D minimizer: golden section with parabolic acceleration.
 
     Classic Forsythe-Malcolm-Moler bounded search.  Never evaluates the
@@ -153,12 +153,12 @@ def _brent_min(f, x1: float, x2: float, xatol: float, maxfun: int = _BRENT_MAXFU
         xm = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxfun:
+        if num >= _BRENT_MAXFUN:
             break
     return xf, fx, num
 
 
-def _log_diff_rate(a: float, r: float, B: int, tol: float) -> float:
+def _log_diff_rate(a: float, r: float, B: int) -> float:
     """The six a-dependent numerator terms: the objective of the a-search.
 
     log2 + ar*log(B) + (1-ar)*log(B+1) - I(ar,1) - ar*I((1-a)/a, B-1)
@@ -168,15 +168,15 @@ def _log_diff_rate(a: float, r: float, B: int, tol: float) -> float:
     v = _LOG2
     v += ar * math.log(B)
     v += (1.0 - ar) * math.log(B + 1)
-    v -= _rate_value(ar, 1, tol)[0]
-    v -= ar * _rate_value((1.0 - a) / a, B - 1, tol)[0]
-    v -= (1.0 - ar) * _rate_value(r / (1.0 - ar), B, tol)[0]
+    v -= _rate_value(ar, 1)[0]
+    v -= ar * _rate_value((1.0 - a) / a, B - 1)[0]
+    v -= (1.0 - ar) * _rate_value(r / (1.0 - ar), B)[0]
     return v
 
 
-def _numerator(a_terms: float, r: float, B: int, tol: float) -> float:
+def _numerator(a_terms: float, r: float, B: int) -> float:
     """The bound numerator: _log_diff_rate's a_terms - log(2B+1) + I(2r, 2B)."""
-    return (a_terms - math.log(2 * B + 1)) + _rate_value(2.0 * r, 2 * B, tol)[0]
+    return (a_terms - math.log(2 * B + 1)) + _rate_value(2.0 * r, 2 * B)[0]
 
 
 def _a_bracket(r: float, eps: float) -> tuple[float, float]:
@@ -185,14 +185,14 @@ def _a_bracket(r: float, eps: float) -> tuple[float, float]:
     return inset, min(1.0, 1.0 / r) - inset
 
 
-def _search_a(B: int, r: float, eps: float, tol: float) -> tuple[float, float, int]:
+def _search_a(B: int, r: float, eps: float) -> tuple[float, float, int]:
     """(a_star, numerator value, evaluations) of the a-search at fixed (B, r)."""
     lo, hi = _a_bracket(r, eps)
-    a_star, neg, num = _brent_min(lambda a: -_log_diff_rate(a, r, B, tol), lo, hi, eps)
-    return a_star, _numerator(-neg, r, B, tol), num
+    a_star, neg, num = _brent_min(lambda a: -_log_diff_rate(a, r, B), lo, hi, eps)
+    return a_star, _numerator(-neg, r, B), num
 
 
-def maximize_a(B: int, r: float, eps: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def maximize_a(B: int, r: float, eps: float) -> tuple[float, float]:
     """Maximize the bound numerator in a at fixed (B, r).
 
     Returns (a_star, numerator value).  Dividing the value by log(2B+1)
@@ -205,12 +205,11 @@ def maximize_a(B: int, r: float, eps: float, tol: float = DEFAULT_TOL) -> tuple[
     lo, hi = _a_bracket(r, eps)
     if not lo < hi:
         raise ValueError(f"eps={eps!r} leaves no a-bracket [{lo!r}, {hi!r}] at r={r!r}")
-    check_tol(tol)
-    a_star, value, _ = _search_a(B, r, eps, tol)
+    a_star, value, _ = _search_a(B, r, eps)
     return a_star, value
 
 
-def maximize_r(B: int, eps: float, tol: float = DEFAULT_TOL) -> OptimizationReport:
+def maximize_r(B: int, eps: float) -> OptimizationReport:
     """Maximize over r in [0.5, 2] of the inner a-maximum at tolerance eps.
 
     The inner value is a non-smooth function of r at coarse eps, so the outer
@@ -220,13 +219,12 @@ def maximize_r(B: int, eps: float, tol: float = DEFAULT_TOL) -> OptimizationRepo
     """
     _check_B(B)
     _check_eps(eps)
-    check_tol(tol)
     evaluations = 0
     searched = {}
 
     def outer(r):
         nonlocal evaluations
-        _, value, num = searched[r] = _search_a(B, r, eps, tol)
+        _, value, num = searched[r] = _search_a(B, r, eps)
         evaluations += num
         return -value
 
@@ -242,7 +240,6 @@ def maximize_r(B: int, eps: float, tol: float = DEFAULT_TOL) -> OptimizationRepo
 def table1(
     eps_list: tuple[float, ...] = TABLE_EPS,
     b_range: tuple[int, int] = (3, 10),
-    tol: float = DEFAULT_TOL,
 ) -> list[list[OptimizationReport]]:
     """The reference table: one row per B, one column per eps.
 
@@ -256,5 +253,4 @@ def table1(
         raise ValueError(f"b_range must satisfy 1 <= lo <= hi <= 10, got {b_range!r}")
     for eps in eps_list:
         _check_eps(eps)
-    check_tol(tol)
-    return [[maximize_r(B, eps, tol) for eps in eps_list] for B in range(lo, hi + 1)]
+    return [[maximize_r(B, eps) for eps in eps_list] for B in range(lo, hi + 1)]

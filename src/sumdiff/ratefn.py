@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-#: rate-solve tolerance: the tilt t* is found to about this absolute
-#: accuracy; fixed independently of any outer search
+#: the one rate-solve tolerance, which no caller sets: the tilt t* is found
+#: to about this absolute accuracy, fixed independently of any outer search
 DEFAULT_TOL = 1e-12
 
 #: hard cap on the steps of one rate solve
@@ -28,7 +28,7 @@ _MAX_ITER = 100
 
 #: tilts with |t| below this are summed term by term: there the closed-form
 #: mean's error of about 2*2^-52/|t| is at most 4.4e-14, under a tenth of
-#: the solve's stop test tol*min(1, c) at the default tol, as c > 0.49 there
+#: the solve's stop test DEFAULT_TOL*min(1, c), as c > 0.49 there
 _SUM_BELOW = 1e-2
 
 #: largest support bound B of a rate solve; a step within _SUM_BELOW of
@@ -127,7 +127,7 @@ def _log_mgf(t: float, B: int) -> float:
     return lmgf + B * t if t > 0.0 else lmgf
 
 
-def _rate_value(c: float, B: int, tol: float) -> tuple[float, float, int, float]:
+def _rate_value(c: float, B: int) -> tuple[float, float, int, float]:
     """(value, t_star, iterations, residual) of I(c, B); t_star is NaN on the zero branch.
 
     B == 0 is on the zero branch for every c, and B == 1 has the closed
@@ -138,9 +138,9 @@ def _rate_value(c: float, B: int, tol: float) -> tuple[float, float, int, float]
     and the small-c guess log(c).  Every evaluation tightens a bracket
     [t_lo, 0] around the root; a step that leaves it is replaced by
     bisection, or by doubling t while t_lo is still -inf.  The solve stops
-    once |tilted_mean(t) - c| <= tol*min(1, c), which puts t within about
-    tol of t* at every c > 0, or once the bracket admits no new point, or
-    after _MAX_ITER steps.  The log-MGF in the value t*c - log_mgf(t*) is
+    once |tilted_mean(t) - c| <= DEFAULT_TOL*min(1, c), which puts t within
+    about DEFAULT_TOL of t* at every c > 0, or once the bracket admits no
+    new point, or after _MAX_ITER steps.  The log-MGF in the value t*c - log_mgf(t*) is
     taken at the returned t* alone.  residual is |tilted_mean(t*) - c| at
     the returned t*.
     """
@@ -152,7 +152,7 @@ def _rate_value(c: float, B: int, tol: float) -> tuple[float, float, int, float]
         t = math.log(c / (1.0 - c))
         value = math.log(2.0) + c * math.log(c) + (1.0 - c) * math.log1p(-c)
         return (max(value, 0.0), t, 0, abs(_moments(t, 1)[0] - c))
-    target = tol * min(1.0, c)
+    target = DEFAULT_TOL * min(1.0, c)
     t_lo = -math.inf
     t_hi = 0.0
     t = min((c - 0.5 * B) * 12.0 / (B * (B + 2)), math.log(c))
@@ -189,32 +189,25 @@ def tilted_mean(t: float, B: int) -> float:
     return _moments(t, B)[0]
 
 
-def rate_I(q: RateQuery, tol: float = DEFAULT_TOL) -> RateResult:
+def rate_I(q: RateQuery) -> RateResult:
     """I(c, B) via the dual solve.
 
     c >= B/2 returns 0 without iterating; c = 0 returns log(B+1) and
     B = 1 returns log 2 - H(c), both analytically; other interior c solves
     tilted_mean(t, B) = c by safeguarded Newton on t < 0 and returns
-    t*c - log_mgf(t*, B).  tol must be finite and positive: the solve stops
-    once |tilted_mean(t, B) - c| <= tol*min(1, c), so t* is accurate to
-    about tol even for c far below tol.
+    t*c - log_mgf(t*, B).  The solve stops once
+    |tilted_mean(t, B) - c| <= DEFAULT_TOL*min(1, c), so t* is accurate to
+    about DEFAULT_TOL even for c far below it.
     """
-    check_tol(tol)
-    value, t_star, iterations, residual = _rate_value(q.c, q.B, tol)
+    value, t_star, iterations, residual = _rate_value(q.c, q.B)
     if math.isnan(t_star):
         t_star = None
     return RateResult(value, t_star, iterations, residual)
 
 
-def log_W_rate_limit(q: RateQuery, tol: float = DEFAULT_TOL) -> float:
+def log_W_rate_limit(q: RateQuery) -> float:
     """Limiting growth rate log(B+1) - I(c, B) of the bounded simplex counts."""
-    return math.log(q.B + 1) - rate_I(q, tol).value
-
-
-def check_tol(tol: float) -> None:
-    """Reject a rate-solve tolerance that is not a finite positive real."""
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a finite positive real, got {tol!r}")
+    return math.log(q.B + 1) - rate_I(q).value
 
 
 def _check_max_B(B: int) -> None:

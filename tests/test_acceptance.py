@@ -196,7 +196,7 @@ def test_criterion_9_duality_residual():
     for _ in range(1000):
         B = rng.randint(1, 10)
         c = (0.001 + 0.998 * rng.random()) * B / 2
-        res = rate_I(RateQuery(c, B), tol=DEFAULT_TOL)
+        res = rate_I(RateQuery(c, B))
         worst = max(worst, res.residual)
         assert abs(tilted_mean(res.t_star, B) - c) == res.residual
     report(

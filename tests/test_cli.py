@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sumdiff
-from sumdiff import cli, construct, optimize, ratefn, wcount
+from sumdiff import construct, optimize, ratefn, wcount
 from sumdiff.cli import main
 from sumdiff.ratefn import MAX_B, RateResult
 from sumdiff.wcount import CountValue
@@ -43,6 +43,7 @@ def test_count(capsys):
 def test_rate_zero_branch(capsys):
     code, record = run_json(capsys, "rate", "--c", "1", "--B", "2")
     assert code == 0
+    assert record["parameters"] == {"c": 1.0, "B": 2}
     assert record["results"]["value"] == 0
     assert record["results"]["t_star"] is None
 
@@ -116,6 +117,7 @@ def test_verify_rejects_empty_grid_exit_2(capsys, grid):
 def test_optimize(capsys):
     code, record = run_json(capsys, "optimize", "--B", "5", "--eps", "1e-8")
     assert code == 0
+    assert record["parameters"] == {"B": 5, "eps": 1e-8}
     assert abs(record["results"]["theta_minus_1"] - 0.173077279785136) < 1e-8
 
 
@@ -124,6 +126,7 @@ def test_table1_json_csv_values_identical(capsys):
         capsys, "table1", "--b-range", "5..5", "--eps-list", "1e-6", "1e-8"
     )
     assert code == 0
+    assert record["parameters"] == {"eps_list": [1e-6, 1e-8], "b_range": [5, 5]}
     cells = record["results"]["cells"]
 
     code, out, _ = run(
@@ -155,13 +158,9 @@ def test_table1_rejects_b_range_exit_2(capsys, b_range):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("optimize", "--B", "5", "--eps", "1e-10", "--rate-tol", "inf"),
-        ("optimize", "--B", "5", "--eps", "1e-10", "--rate-tol", "nan"),
-        ("rate", "--c", "1", "--B", "5", "--tol", "inf"),
         ("optimize", "--B", "5", "--eps", "inf"),
         ("optimize", "--B", "5", "--eps", "1.0"),
         ("table1", "--b-range", "5..5", "--eps-list", "1e-4", "0.5"),
-        ("table1", "--b-range", "5..5", "--eps-list", "1e-4", "--rate-tol", "inf"),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -174,7 +173,7 @@ def test_rejects_bad_tolerance_exit_2(capsys, argv):
 
 def test_non_finite_result_exit_2(capsys, monkeypatch):
     # a NaN must never reach stdout as a record that is not JSON
-    monkeypatch.setattr(cli, "rate_I", lambda q, tol: RateResult(math.nan, -1.0, 0, 0.0))
+    monkeypatch.setattr(ratefn, "rate_I", lambda q: RateResult(math.nan, -1.0, 0, 0.0))
     code, out, err = run(capsys, "rate", "--c", "1", "--B", "5")
     assert code == 2
     assert out == ""
@@ -242,6 +241,20 @@ def test_bound_refuses_past_convolution_limit_exit_2(capsys, monkeypatch):
     assert str(terms) in err and str(construct.MAX_CONVOLUTION_TERMS) in err
 
 
+def test_bound_refuses_past_q_digit_limit_exit_2(capsys, monkeypatch):
+    # q = 2*max(U) + 1 would have about 312,000 digits, and printing it is quadratic
+    def no_call(p):
+        raise AssertionError("counted past the q-digit limit")
+
+    monkeypatch.setattr(construct, "max_U", no_call)
+    monkeypatch.setattr(construct, "diff_count", no_call)
+    code, out, err = run(capsys, "bound", "--m", "300000", "--L", "5", "--B", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(construct.MAX_Q_DIGITS) in err
+
+
 def test_bound_cap_applies_only_to_dump_set(capsys, tmp_path):
     argv = ("bound", "--m", "9", "--L", "20", "--B", "3", "--cap", "10")
     code, record = run_json(capsys, *argv)
@@ -304,9 +317,9 @@ def test_count_loads_no_optimize_or_construct():
         "import io, sys; from contextlib import redirect_stdout; from sumdiff.cli import main; "
         "out = io.StringIO()\n"
         "with redirect_stdout(out): code = main(['count', '--m', '3', '--L', '2', '--B', '5'])\n"
-        "print(code, 'sumdiff.optimize' in sys.modules, 'sumdiff.construct' in sys.modules)"
+        "print(code, *(f'sumdiff.{m}' in sys.modules for m in ('optimize', 'construct', 'ratefn')))"
     ).split()
-    assert loaded == ["0", "False", "False"]
+    assert loaded == ["0", "False", "False", "False"]
 
 
 def test_public_name_loads_only_its_submodule():

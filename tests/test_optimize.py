@@ -106,9 +106,9 @@ class TestMaximizeR:
         searched = []
         inner = optimize._search_a
 
-        def counting(B, r, eps, tol):
+        def counting(B, r, eps):
             searched.append(r)
-            return inner(B, r, eps, tol)
+            return inner(B, r, eps)
 
         monkeypatch.setattr(optimize, "_search_a", counting)
         rep = maximize_r(5, 1e-8)
@@ -171,18 +171,6 @@ class TestTable1:
             table1(b_range=(0, 5))
         with pytest.raises(ValueError):
             table1(b_range=(3, 11))
-
-
-@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-12])
-def test_entry_points_reject_tol_not_finite_positive(tol):
-    with pytest.raises(ValueError, match="tol"):
-        theta_objective(5, 0.8, 0.45, tol)
-    with pytest.raises(ValueError, match="tol"):
-        maximize_a(5, 0.8, 1e-8, tol)
-    with pytest.raises(ValueError, match="tol"):
-        maximize_r(5, 1e-8, tol)
-    with pytest.raises(ValueError, match="tol"):
-        table1((1e-4,), (5, 5), tol)
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.25, 1.0])
