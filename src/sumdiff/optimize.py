@@ -5,11 +5,13 @@ For fixed B the bound on theta - 1 is
     [ log2 + ar log B + (1-ar) log(B+1) - I(ar, 1) - ar I((1-a)/a, B-1)
       - (1-ar) I(r/(1-ar), B) - log(2B+1) + I(2r, 2B) ] / log(2B+1)
 
-maximized first in a over (0, min(1, 1/r)), then in r over [0.5, 2], both by
-the same bracketed derivative-free search with x-tolerance eps.  The inner
-rate solves all run at the one fixed tolerance ratefn.DEFAULT_TOL (1e-12),
-whatever eps is, so the eps columns of the result table measure only the
-1-D search.
+maximized first in a over (0, min(1, 1/r)), then in r over [0.5, 2], both
+to x-tolerance eps.  The numerator is concave in a, and the rate solves give
+its slope and curvature in closed form (I'(c) = t*, I''(c) = 1/Var at t*), so
+the inner search is a safeguarded Newton iteration; the outer search in r is
+a bracketed derivative-free (Brent) search.  The rate solves all run at the
+one fixed tolerance ratefn.DEFAULT_TOL (1e-12), whatever eps is, so the eps
+columns of the result table measure only the 1-D searches.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ _LOG2 = math.log(2.0)
 _SQRT_EPS = math.sqrt(2.220446049250313e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _BRENT_MAXFUN = 500
+_NEWTON_MAXFUN = 100
 
 
 class ThetaPoint(NamedTuple):
@@ -74,7 +77,7 @@ def theta_objective(B: int, r: float, a: float) -> ThetaPoint:
         raise ValueError(f"r must be a positive finite real, got {r!r}")
     if not 0.0 < a < min(1.0, 1.0 / r):
         raise ValueError(f"a={a!r} outside the open interval (0, min(1, 1/r)) for r={r!r}")
-    theta_minus_1 = _numerator(_log_diff_rate(a, r, B), r, B) / math.log(2 * B + 1)
+    theta_minus_1 = _numerator(_log_diff_rate(a, r, B)[0], r, B) / math.log(2 * B + 1)
     if not math.isfinite(theta_minus_1):
         raise ArithmeticError(f"non-finite objective at B={B}, r={r}, a={a}")
     return ThetaPoint(B, r, a, theta_minus_1)
@@ -158,20 +161,32 @@ def _brent_min(f, x1: float, x2: float, xatol: float):
     return xf, fx, num
 
 
-def _log_diff_rate(a: float, r: float, B: int) -> float:
-    """The six a-dependent numerator terms: the objective of the a-search.
+def _log_diff_rate(a: float, r: float, B: int) -> tuple[float, float, float]:
+    """(f, f', f'') in a of the six a-dependent numerator terms, the a-search's objective.
 
-    log2 + ar*log(B) + (1-ar)*log(B+1) - I(ar,1) - ar*I((1-a)/a, B-1)
-        - (1-ar)*I(r/(1-ar), B)
+    f(a) = log2 + ar*log(B) + (1-ar)*log(B+1) - I1 - ar*I2 - (1-ar)*I3 with
+    I1 = I(ar, 1), I2 = I((1-a)/a, B-1), I3 = I(r/(1-ar), B).  With t_i =
+    I_i' and k_i = I_i'' >= 0 from the rate solves,
+
+        f'  = r*(log(B/(B+1)) - t1 - I2 + t2/a + I3 - r*t3/(1-ar))
+        f'' = -r^2*k1 - r*k2/a^3 - r^4*k3/(1-ar)^3 <= 0,
+
+    so f is concave; I is C^1 across c = B/2, so f' is continuous there.
     """
     ar = a * r
+    s = 1.0 - ar
+    i1, t1, k1 = _rate_value(ar, 1)[:3]
+    i2, t2, k2 = _rate_value((1.0 - a) / a, B - 1)[:3]
+    i3, t3, k3 = _rate_value(r / s, B)[:3]
     v = _LOG2
     v += ar * math.log(B)
-    v += (1.0 - ar) * math.log(B + 1)
-    v -= _rate_value(ar, 1)[0]
-    v -= ar * _rate_value((1.0 - a) / a, B - 1)[0]
-    v -= (1.0 - ar) * _rate_value(r / (1.0 - ar), B)[0]
-    return v
+    v += s * math.log(B + 1)
+    v -= i1
+    v -= ar * i2
+    v -= s * i3
+    d1 = r * (math.log(B / (B + 1)) - t1 - i2 + t2 / a + i3 - r * t3 / s)
+    d2 = -r * (r * k1 + k2 / (a * a * a) + r * r * r * k3 / (s * s * s))
+    return v, d1, d2
 
 
 def _numerator(a_terms: float, r: float, B: int) -> float:
@@ -179,17 +194,39 @@ def _numerator(a_terms: float, r: float, B: int) -> float:
     return (a_terms - math.log(2 * B + 1)) + _rate_value(2.0 * r, 2 * B)[0]
 
 
-def _a_bracket(r: float, eps: float) -> tuple[float, float]:
-    """The a-search bracket, inset by max(eps, 1e-12) from the poles 0 and 1/r."""
-    inset = max(eps, 1e-12)
-    return inset, min(1.0, 1.0 / r) - inset
+def _search_a(B: int, r: float, eps: float, a: float | None) -> tuple[float, float, int]:
+    """(a_star, numerator value, evaluations) of the a-search at fixed (B, r).
 
-
-def _search_a(B: int, r: float, eps: float) -> tuple[float, float, int]:
-    """(a_star, numerator value, evaluations) of the a-search at fixed (B, r)."""
-    lo, hi = _a_bracket(r, eps)
-    a_star, neg, num = _brent_min(lambda a: -_log_diff_rate(a, r, B), lo, hi, eps)
-    return a_star, _numerator(-neg, r, B), num
+    The bracket is inset by max(eps, 1e-12) from the poles 0 and 1/r.
+    Safeguarded Newton on f' from the start a (clipped into the bracket; None
+    starts at its midpoint).  f is concave, so the sign of f' at each point
+    says on which side the maximum lies; a step that leaves that sign bracket,
+    or meets f'' = 0, is replaced by bisection.  Once a step is at most eps it
+    is taken and the better of its two ends returned.
+    """
+    lo = max(eps, 1e-12)
+    hi = min(1.0, 1.0 / r) - lo
+    if not lo < hi:
+        raise ValueError(f"eps={eps!r} leaves no a-bracket [{lo!r}, {hi!r}] at r={r!r}")
+    a = 0.5 * (lo + hi) if a is None else min(max(a, lo), hi)
+    f, d1, d2 = _log_diff_rate(a, r, B)
+    num = 1
+    while d1 != 0.0 and num < _NEWTON_MAXFUN:
+        if d1 > 0.0:
+            lo = a
+        else:
+            hi = a
+        step = a - d1 / d2 if d2 < 0.0 else math.nan
+        if not lo <= step <= hi:
+            step = 0.5 * (lo + hi)
+        f_step, d1, d2 = _log_diff_rate(step, r, B)
+        num += 1
+        if abs(step - a) <= eps:
+            if f_step > f:
+                a, f = step, f_step
+            break
+        a, f = step, f_step
+    return a, _numerator(f, r, B), num
 
 
 def maximize_a(B: int, r: float, eps: float) -> tuple[float, float]:
@@ -202,29 +239,28 @@ def maximize_a(B: int, r: float, eps: float) -> tuple[float, float]:
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
     _check_eps(eps)
-    lo, hi = _a_bracket(r, eps)
-    if not lo < hi:
-        raise ValueError(f"eps={eps!r} leaves no a-bracket [{lo!r}, {hi!r}] at r={r!r}")
-    a_star, value, _ = _search_a(B, r, eps)
+    a_star, value, _ = _search_a(B, r, eps, None)
     return a_star, value
 
 
 def maximize_r(B: int, eps: float) -> OptimizationReport:
     """Maximize over r in [0.5, 2] of the inner a-maximum at tolerance eps.
 
-    The inner value is a non-smooth function of r at coarse eps, so the outer
-    search is the same derivative-free bracketed scheme.  evaluations counts
-    the objective evaluations of every inner search; r* is one of the points
-    the outer search evaluated, so its inner result is kept, not searched again.
+    The outer search is derivative-free (Brent) in r; each inner Newton
+    search starts from the a* of the r searched before it.  evaluations
+    counts the objective evaluations of every inner search; r* is one of the
+    points the outer search evaluated, so its inner result is kept, not
+    searched again.
     """
     _check_B(B)
     _check_eps(eps)
     evaluations = 0
     searched = {}
+    a_prev = None
 
     def outer(r):
-        nonlocal evaluations
-        _, value, num = searched[r] = _search_a(B, r, eps)
+        nonlocal evaluations, a_prev
+        a_prev, value, num = searched[r] = _search_a(B, r, eps, a_prev)
         evaluations += num
         return -value
 

@@ -127,14 +127,16 @@ def _log_mgf(t: float, B: int) -> float:
     return lmgf + B * t if t > 0.0 else lmgf
 
 
-def _rate_value(c: float, B: int) -> tuple[float, float, int, float]:
-    """(value, t_star, iterations, residual) of I(c, B); t_star is NaN on the zero branch.
+def _rate_value(c: float, B: int) -> tuple[float, float, float, int, float]:
+    """(value, t_star, curvature, iterations, residual) of I(c, B).
 
-    B == 0 is on the zero branch for every c, and B == 1 has the closed
-    form I(c, 1) = log 2 - H(c) at t* = log(c/(1-c)).  Otherwise Newton's
-    method runs on tilted_mean(t) - c, whose derivative is the tilted
-    variance, both from _moments in O(1) per step away from t = 0, from the
-    smaller of the small-tilt guess (c - B/2)*12/(B(B+2))
+    t_star is the slope I'(c) and curvature, 1/Var at t_star, is I''(c):
+    both are 0 on the zero branch, the only branch with t_star = 0.  B == 0
+    is on the zero branch for every c, and B == 1 has the closed form
+    I(c, 1) = log 2 - H(c) at t* = log(c/(1-c)), where Var = c(1-c).
+    Otherwise Newton's method runs on tilted_mean(t) - c, whose derivative
+    is the tilted variance, both from _moments in O(1) per step away from
+    t = 0, from the smaller of the small-tilt guess (c - B/2)*12/(B(B+2))
     and the small-c guess log(c).  Every evaluation tightens a bracket
     [t_lo, 0] around the root; a step that leaves it is replaced by
     bisection, or by doubling t while t_lo is still -inf.  The solve stops
@@ -145,13 +147,13 @@ def _rate_value(c: float, B: int) -> tuple[float, float, int, float]:
     the returned t*.
     """
     if B <= 0 or c >= 0.5 * B:
-        return (0.0, math.nan, 0, 0.0)
+        return (0.0, 0.0, 0.0, 0, 0.0)
     if c <= 0.0:
-        return (math.log(B + 1), -math.inf, 0, 0.0)
+        return (math.log(B + 1), -math.inf, math.inf, 0, 0.0)
     if B == 1:
         t = math.log(c / (1.0 - c))
         value = math.log(2.0) + c * math.log(c) + (1.0 - c) * math.log1p(-c)
-        return (max(value, 0.0), t, 0, abs(_moments(t, 1)[0] - c))
+        return (max(value, 0.0), t, 1.0 / (c * (1.0 - c)), 0, abs(_moments(t, 1)[0] - c))
     target = DEFAULT_TOL * min(1.0, c)
     t_lo = -math.inf
     t_hi = 0.0
@@ -174,7 +176,8 @@ def _rate_value(c: float, B: int) -> tuple[float, float, int, float]:
                 break
         t = step
         iterations += 1
-    return (max(t * c - _log_mgf(t, B), 0.0), t, iterations, abs(resid))
+    curvature = 1.0 / var if var > 0.0 else math.inf
+    return (max(t * c - _log_mgf(t, B), 0.0), t, curvature, iterations, abs(resid))
 
 
 def log_mgf(t: float, B: int) -> float:
@@ -199,8 +202,8 @@ def rate_I(q: RateQuery) -> RateResult:
     |tilted_mean(t, B) - c| <= DEFAULT_TOL*min(1, c), so t* is accurate to
     about DEFAULT_TOL even for c far below it.
     """
-    value, t_star, iterations, residual = _rate_value(q.c, q.B)
-    if math.isnan(t_star):
+    value, t_star, _, iterations, residual = _rate_value(q.c, q.B)
+    if t_star == 0.0:
         t_star = None
     return RateResult(value, t_star, iterations, residual)
 

@@ -138,9 +138,9 @@ def log_count_rate(m: int, r: float, B: int) -> float:
     The logarithm of the exact count; it tends to log(B+1) - I(r, B) as m
     grows.
     """
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    if not isinstance(B, int) or B < 1:
+    if not isinstance(B, int) or isinstance(B, bool) or B < 1:
         raise ValueError(f"B must be a positive integer, got {B!r}")
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")

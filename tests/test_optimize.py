@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sumdiff import optimize
 from sumdiff.optimize import (
@@ -65,6 +67,38 @@ class TestThetaObjective:
             theta_objective(5, -1.0, 0.5)
 
 
+class TestObjectiveDerivatives:
+    def test_match_central_differences(self):
+        # a grid across the a-bracket, skipping the kinks c = B/2 of the three
+        # rate terms, where I'' jumps; every term is on its zero branch somewhere
+        h1, h2 = 1e-6, 1e-5
+        on_zero_branch = [0, 0, 0]
+        for B in range(1, 11):
+            for r in (0.5, 0.805, 1.4, 2.0):
+                top = min(1.0, 1.0 / r)
+                kinks = (0.5 / r, 2.0 / (B + 1), 1.0 / r - 2.0 / B)
+                for k in range(1, 40):
+                    a = top * k / 40
+                    if any(abs(a - kink) < 1e-3 for kink in kinks):
+                        continue
+                    on_zero_branch[0] += a * r >= 0.5
+                    on_zero_branch[1] += (1 - a) / a >= (B - 1) / 2
+                    on_zero_branch[2] += r / (1 - a * r) >= B / 2
+                    _, d1, d2 = optimize._log_diff_rate(a, r, B)
+                    up, down = optimize._log_diff_rate(a + h1, r, B), optimize._log_diff_rate(a - h1, r, B)
+                    assert abs(d1 - (up[0] - down[0]) / (2 * h1)) <= 1e-8 * max(1.0, abs(d1))
+                    up, down = optimize._log_diff_rate(a + h2, r, B), optimize._log_diff_rate(a - h2, r, B)
+                    assert abs(d2 - (up[1] - down[1]) / (2 * h2)) <= 1e-5 * max(1.0, abs(d2))
+        assert min(on_zero_branch) > 0
+
+    @given(st.integers(1, 40), st.floats(0.1, 10.0), st.floats(1e-6, 1.0 - 1e-6))
+    def test_concave(self, B, r, frac):
+        a = frac * min(1.0, 1.0 / r)
+        _, d1, d2 = optimize._log_diff_rate(a, r, B)
+        assert math.isfinite(d1)
+        assert d2 <= 0.0
+
+
 class TestMaximizeA:
     def test_domain_shape(self):
         a_star, value = maximize_a(1, 2.0, 1e-8)
@@ -75,6 +109,20 @@ class TestMaximizeA:
         _, coarse = maximize_a(3, 1.0, 1e-6)
         _, fine = maximize_a(3, 1.0, 1e-10)
         assert abs(coarse - fine) < 1e-5
+
+    def test_at_least_grid_maximum(self):
+        # oracle: the best of a 4,001-point grid on the search bracket
+        eps = 1e-10
+        for B in range(3, 11):
+            for r in (0.6, 0.805, 1.4):
+                lo, hi = eps, min(1.0, 1.0 / r) - eps
+                a_star, value = maximize_a(B, r, eps)
+                grid = max(optimize._log_diff_rate(lo + (hi - lo) * k / 4000, r, B)[0] for k in range(4001))
+                assert value >= optimize._numerator(grid, r, B) - 1e-12
+                assert value / math.log(2 * B + 1) == theta_objective(B, r, a_star).theta_minus_1
+                # these optima are interior, where the slope vanishes
+                assert lo + 1e-6 < a_star < hi - 1e-6
+                assert abs(optimize._log_diff_rate(a_star, r, B)[1]) <= 1e-8
 
     def test_value_consistent_with_objective(self):
         # the search and the point evaluation share one numerator
@@ -106,9 +154,9 @@ class TestMaximizeR:
         searched = []
         inner = optimize._search_a
 
-        def counting(B, r, eps):
+        def counting(B, r, eps, a):
             searched.append(r)
-            return inner(B, r, eps)
+            return inner(B, r, eps, a)
 
         monkeypatch.setattr(optimize, "_search_a", counting)
         rep = maximize_r(5, 1e-8)

@@ -12,6 +12,7 @@ from sumdiff.ratefn import (
     RateQuery,
     RateResult,
     _moments,
+    _rate_value,
     log_W_rate_limit,
     log_mgf,
     rate_I,
@@ -224,6 +225,21 @@ class TestRateI:
         assert res.residual <= 10 * DEFAULT_TOL
         assert res.residual == abs(tilted_mean(res.t_star, B) - c)
         assert res.iterations <= _MAX_ITER
+
+    def test_slope_and_curvature(self):
+        # I'(c) = t* and I''(c) = 1/Var at t*: against central differences of I
+        h = 1e-5
+        for B in range(1, 11):
+            for frac in (0.05, 0.3, 0.6, 0.95):
+                c = frac * B / 2
+                _, t, kappa, _, _ = _rate_value(c, B)
+                dI = (_rate_value(c + h, B)[0] - _rate_value(c - h, B)[0]) / (2 * h)
+                d2I = (_rate_value(c + h, B)[1] - _rate_value(c - h, B)[1]) / (2 * h)
+                assert abs(t - dI) <= 1e-8 * max(1.0, abs(t))
+                assert abs(kappa - d2I) <= 1e-5 * kappa
+        assert _rate_value(0.3, 1)[2] == 1.0 / (0.3 * 0.7)
+        for c, B in [(1.0, 2), (2.5, 5), (3.0, 0)]:
+            assert _rate_value(c, B)[1:3] == (0.0, 0.0)
 
     def test_monotone_nonincreasing_in_c(self):
         for B in range(1, 11):

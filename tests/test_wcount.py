@@ -176,6 +176,12 @@ class TestLogCountRate:
         with pytest.raises(ValueError):
             log_count_rate(5, 1.0, 0)
 
+    @pytest.mark.parametrize("m, B", [(True, 2), (5, True), (False, 2)])
+    def test_rejects_bool(self, m, B):
+        # bool is an int subclass, but WParams and RateQuery refuse it too
+        with pytest.raises(ValueError, match="positive integer"):
+            log_count_rate(m, 0.5, B)
+
 
 def test_count_value_of_zero():
     assert CountValue.of(0).exact == 0
