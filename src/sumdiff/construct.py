@@ -27,10 +27,12 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .wcount import (
+    MAX_COUNT_WORK,
     CountValue,
     EnumerationCapError,
     LatticeVector,
     WParams,
+    _count_work,
     binomial,
     count_W,
     enum_cap,
@@ -39,10 +41,6 @@ from .wcount import (
 
 #: strictly increasing tuple of integers
 IntegerSet = tuple[int, ...]
-
-#: largest min(m, L) that ``theta_bound`` accepts: the |U-U| convolution has
-#: min(m, L) + 1 terms, each an exact count
-MAX_CONVOLUTION_TERMS = 4_000
 
 #: largest m*log10(2B+1), about the decimal digits of q = 2*max(U) + 1, that
 #: ``theta_bound`` accepts: every integer of its report is at most q, and
@@ -214,34 +212,44 @@ def max_U(p: WParams) -> int:
     return value
 
 
+def _check_work(p: WParams) -> None:
+    """Refuse p when ``theta_bound``'s exact counts together -- |U|, |U+U|
+    and the 2(min(m, L) + 1) of the |U-U| convolution -- are estimated by
+    ``wcount._count_work`` at more than ``wcount.MAX_COUNT_WORK``."""
+    m, L, B = p
+    work = _count_work(m, L, B) + _count_work(m, 2 * L, 2 * B)
+    for k in range(min(m, L) + 1):
+        work += _count_work(k, L - k, B - 1) + _count_work(m - k, L, B)
+        if work > MAX_COUNT_WORK:
+            raise ValueError(
+                f"the counted bound's {2 * min(m, L) + 4} exact counts are estimated "
+                f"at more than the limit of {MAX_COUNT_WORK:.3g} units of work"
+            )
+
+
 def theta_bound(p: WParams) -> BoundReport:
     """The exponent bound of U = g(W(m, L, B)) from exact counts alone.
 
     Equal, field for field and bit for bit in theta, to
     ``theta_bound_exact(build_U(p))``, with no set built and no pair formed.
-    Raises ``ValueError`` before counting when min(m, L) exceeds
-    ``MAX_CONVOLUTION_TERMS`` or m*log10(2B+1) exceeds ``MAX_Q_DIGITS``.
+    Raises ``ValueError`` before counting when m*log10(2B+1) exceeds
+    ``MAX_Q_DIGITS`` or its counts' estimated work exceeds
+    ``wcount.MAX_COUNT_WORK``.
     """
-    terms = min(p.m, p.L)
-    if terms > MAX_CONVOLUTION_TERMS:
-        raise ValueError(
-            f"min(m, L) = {terms} exceeds the counted bound's limit of "
-            f"{MAX_CONVOLUTION_TERMS} convolution terms, each an exact count"
-        )
+    if min(p) < 1:  # then max U = 0
+        raise ValueError("U = {0} has no meaningful scale (log q = 0)")
     digits = p.m * math.log10(2 * p.B + 1)
     if digits > MAX_Q_DIGITS:
         raise ValueError(
             f"m*log10(2B+1) = {digits:.0f} exceeds the counted bound's limit of "
             f"{MAX_Q_DIGITS} decimal digits of q"
         )
-    top = max_U(p)
-    if top < 1:
-        raise ValueError("U = {0} has no meaningful scale (log q = 0)")
+    _check_work(p)
     return _report(
         count_W(p).exact,
         diff_count(p).exact,
         count_W(WParams(p.m, 2 * p.L, 2 * p.B)).exact,
-        2 * top + 1,
+        2 * max_U(p) + 1,
     )
 
 

@@ -229,16 +229,31 @@ def test_bound_counts_past_pair_cap(capsys):
 
 
 def test_bound_refuses_past_convolution_limit_exit_2(capsys, monkeypatch):
-    def no_count(p):
-        raise AssertionError("diff_count called past the limit")
+    # 8,004 exact counts past the work limit; under the earlier limit of 4,000
+    # convolution terms this input ran for 35-85 s
+    def no_call(p):
+        raise AssertionError("counted past the work limit")
 
-    monkeypatch.setattr(construct, "diff_count", no_count)
-    terms = construct.MAX_CONVOLUTION_TERMS + 1
-    code, out, err = run(capsys, "bound", "--m", str(terms), "--L", str(terms), "--B", "5")
+    for name in ("count_W", "diff_count", "max_U"):
+        monkeypatch.setattr(construct, name, no_call)
+    code, out, err = run(capsys, "bound", "--m", "4000", "--L", "8000", "--B", "5")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
-    assert str(terms) in err and str(construct.MAX_CONVOLUTION_TERMS) in err
+    assert "8004 exact counts" in err and f"{wcount.MAX_COUNT_WORK:.3g}" in err
+
+
+def test_count_refuses_past_work_limit_exit_2(capsys, monkeypatch):
+    def no_call(*args):
+        raise AssertionError("big-integer work past the work limit")
+
+    monkeypatch.setattr(math, "comb", no_call)
+    monkeypatch.setattr(math, "perm", no_call)
+    for argv in (("count",), ("enumerate",)):
+        code, out, err = run(capsys, *argv, "--m", "1000000", "--L", "1000000", "--B", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "units of work" in err
 
 
 def test_bound_refuses_past_q_digit_limit_exit_2(capsys, monkeypatch):

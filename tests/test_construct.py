@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumdiff import construct
+from sumdiff import construct, wcount
 from sumdiff.construct import (
     _distinct_diffs,
     _distinct_sums,
@@ -170,6 +170,29 @@ class TestCountedBound:
         assert all(a < b for a, b in zip(thetas, thetas[1:]))
         assert thetas[0] > 1.1584
         assert thetas[-1] < 1.173077
+
+
+class TestWorkLimit:
+    """theta_bound sums the estimated work of its counts and refuses past the limit."""
+
+    @pytest.mark.parametrize("p", [WParams(4000, 8000, 5), WParams(500, 5_000_000, 10_000)])
+    def test_refused_before_counting(self, monkeypatch, p):
+        # both ran for over half a minute under the old limit of 4,000 convolution terms
+        def no_call(*args):
+            raise AssertionError("counted past the work limit")
+
+        monkeypatch.setattr(wcount, "_count", no_call)
+        monkeypatch.setattr(construct, "max_U", no_call)
+        with pytest.raises(ValueError, match="units of work"):
+            theta_bound(p)
+
+    def test_baseline_accepted(self, monkeypatch):
+        # bound --m 4000 --L 3220 --B 5 runs in seconds, not minutes: it stays accepted
+        construct._check_work(WParams(4000, 3220, 5))
+        construct._check_work(WParams(1000, 805, 5))
+        monkeypatch.setattr(construct, "MAX_COUNT_WORK", 1e9)
+        with pytest.raises(ValueError, match="3204 exact counts"):
+            construct._check_work(WParams(2000, 1600, 5))
 
 
 class TestIdentities:

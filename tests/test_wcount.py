@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sumdiff import wcount
 from sumdiff.ratefn import RateQuery, log_W_rate_limit
 from sumdiff.wcount import (
+    MAX_COUNT_WORK,
     CountValue,
     EnumerationCapError,
     WParams,
@@ -35,6 +37,28 @@ def dp_count(m, L, B):
         prefix = list(accumulate(row))
         row = [prefix[l] - (prefix[l - B - 1] if l > B else 0) for l in range(L + 1)]
     return row[L]
+
+
+def ie_count(m, L, B):
+    """Independent oracle: inclusion-exclusion, each term by math.comb.
+
+    sum_k (-1)^k C(m, k) C(L - k(B+1) + m, m) over k <= min(m, L//(B+1)),
+    after L is saturated at m*B; no term is carried from another.
+    """
+    L = min(L, m * B)
+    return sum(
+        (-1) ** k * math.comb(m, k) * math.comb(L - k * (B + 1) + m, m)
+        for k in range(min(m, L // (B + 1)) + 1)
+    )
+
+
+def block_steps(m, L, B):
+    """Steps a block of ``_count`` at most, by the rule of its docstring:
+    divisors under _BLOCK_BITS from factors of at most m*(L+m)^a bits, and a
+    factor wider than _WIDE_BITS alone."""
+    L = min(L, m * B)
+    width = m.bit_length() + min(m, B + 1) * (L + m).bit_length()
+    return wcount._BLOCK_BITS // width if width <= wcount._WIDE_BITS else 1
 
 
 def pascal(m, k):
@@ -117,6 +141,75 @@ class TestCountW:
         assert count_W(WParams(m, L, B + 1)).exact >= base
 
 
+class TestBlockedCount:
+    # m > B + 1 (ratios of B+1 factors) twice, m <= B + 1 (of m factors) twice,
+    # and a ratio too wide to block; each swept over every K up to its largest,
+    # then past saturation at L = mB
+    @pytest.mark.parametrize("block_bits", [256, 1024])
+    @pytest.mark.parametrize("m, B", [(100, 2), (61, 1), (10, 10), (9, 20), (20, 30)])
+    def test_every_K_across_block_ends(self, monkeypatch, block_bits, m, B):
+        monkeypatch.setattr(wcount, "_BLOCK_BITS", block_bits)
+        names = ("0", "1", "g-1", "g", "g+1", "2g+1")
+        reached = set()
+        for L in range(m * B + 3):
+            assert wcount._count(m, L, B) == ie_count(m, L, B), (m, L, B)
+            K = min(m, L // (B + 1))
+            g = block_steps(m, L, B)
+            # K at and around a block's end; odd and even K come with every K
+            reached.update(n for n, x in zip(names, (0, 1, g - 1, g, g + 1, 2 * g + 1)) if x == K)
+        if block_bits == 256:  # short blocks: every K of names is in reach
+            assert reached == set(names)
+
+    def test_several_blocks_against_dp(self):
+        m, L, B = 300, 600, 3
+        assert min(m, L // (B + 1)) > 5 * block_steps(m, L, B) > 5
+        assert wcount._count(m, L, B) == dp_count(m, L, B)
+
+    def test_wide_ratio_one_step_a_block(self):
+        assert block_steps(40, 3000, 200) == 1
+        assert wcount._count(40, 3000, 200) == ie_count(40, 3000, 200)
+
+
+class TestWorkLimit:
+    """An exact count refuses, before any big-integer work, past MAX_COUNT_WORK."""
+
+    @pytest.fixture
+    def no_big_integers(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("big-integer work past the work limit")
+
+        monkeypatch.setattr(math, "comb", fail)
+        monkeypatch.setattr(math, "perm", fail)
+
+    @pytest.mark.parametrize("call", [
+        lambda: count_W(WParams(10**6, 10**6, 3)),
+        lambda: enumerate_W(WParams(10**6, 10**6, 3)),
+        lambda: log_count_rate(10**6, 1.0, 3),
+        lambda: count_W(WParams(40_000, 10**6, 10_000)),  # 99 steps, but wide ratios
+    ])
+    def test_refused_before_counting(self, no_big_integers, call):
+        with pytest.raises(ValueError, match="units of work") as exc:
+            call()
+        assert not isinstance(exc.value, EnumerationCapError)
+        assert f"{MAX_COUNT_WORK:.3g}" in str(exc.value)
+
+    @pytest.mark.parametrize("m, L, B", [
+        (20000, 32000, 10),  # the README's count
+        (10000, 10000, 3),  # log_count_rate's largest point
+        (1800, 1800, 3),  # the counts benchmark's sizes
+        (1600, 1600, 5),
+        (80_000, 80_000, 3),
+    ])
+    def test_accepted_sizes(self, m, L, B):
+        assert 0 < wcount._count_work(m, L, B) < MAX_COUNT_WORK
+
+    def test_estimate_grows_with_the_ratio_width(self):
+        # the same count bits, B+1 = 1001 factors a ratio: 5x the plain steps x bits
+        steps, bits = 99, 500 * math.log2(1001)
+        assert wcount._count_work(500, 100_000, 1000) > 5 * steps * bits
+        assert wcount._count_work(0, 5, 2) == wcount._count_work(5, 3, 3) == 0.0
+
+
 class TestBinomial:
     @pytest.mark.parametrize("m,k,expected", [(5, 2, 10), (7, 0, 1), (6, 3, 20), (3, 5, 0)])
     def test_golden(self, m, k, expected):
@@ -147,6 +240,18 @@ class TestEnumerateW:
             assert vs == sorted(vs)
             assert len(vs) == len(set(vs)) == count_W(WParams(m, L, B)).exact
             assert all(len(v) == m and sum(v) <= L and max(v, default=0) <= B for v in vs)
+
+    def test_cap_error_gives_a_long_count_by_its_digits(self):
+        # |W(9000, 9000, 3)| has 5,017 digits, past the 4,300 that str() converts
+        # by default
+        with pytest.raises(EnumerationCapError) as exc:
+            enumerate_W(WParams(9000, 9000, 3))
+        assert exc.value.count == count_W(WParams(9000, 9000, 3)).exact
+        assert str(exc.value) == (
+            "enumeration of a 5,017-digit number of vectors exceeds the cap of 10000000"
+        )
+        assert str(EnumerationCapError(10**20 - 1, 5)).startswith("enumeration of 9999")
+        assert "a 21-digit number of pairs" in str(EnumerationCapError(10**20, 5, "pairs"))
 
     def test_cap_error_names_cap_and_count(self):
         with pytest.raises(EnumerationCapError) as exc:
