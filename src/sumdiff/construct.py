@@ -24,15 +24,14 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import add, sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
+from .exactcount import MAX_COUNT_WORK, _count_work
 from .wcount import (
-    MAX_COUNT_WORK,
     CountValue,
     EnumerationCapError,
     LatticeVector,
     WParams,
-    _count_work,
     binomial,
     count_W,
     enum_cap,
@@ -184,13 +183,20 @@ def diff_count(p: WParams) -> CountValue:
     if p.B < 1:
         raise ValueError("the convolution formula needs B >= 1")
     total = 0
-    for k in range(min(p.m, p.L) + 1):
-        total += (
-            binomial(p.m, k).exact
-            * count_W(WParams(k, p.L - k, p.B - 1)).exact
-            * count_W(WParams(p.m - k, p.L, p.B)).exact
-        )
+    for k, neg, rest in _convolution(p):
+        total += binomial(p.m, k).exact * count_W(neg).exact * count_W(rest).exact
     return CountValue.of(total)
+
+
+def _convolution(p: WParams) -> Iterator[tuple[int, WParams, WParams]]:
+    # each term of diff_count's convolution: k and the two counted triples
+    for k in range(min(p.m, p.L) + 1):
+        yield k, WParams(k, p.L - k, p.B - 1), WParams(p.m - k, p.L, p.B)
+
+
+def _doubled(p: WParams) -> WParams:
+    """(m, 2L, 2B), whose W counts U + U."""
+    return WParams(p.m, 2 * p.L, 2 * p.B)
 
 
 def max_U(p: WParams) -> int:
@@ -215,14 +221,13 @@ def max_U(p: WParams) -> int:
 def _check_work(p: WParams) -> None:
     """Refuse p when ``theta_bound``'s exact counts together -- |U|, |U+U|
     and the 2(min(m, L) + 1) of the |U-U| convolution -- are estimated by
-    ``wcount._count_work`` at more than ``wcount.MAX_COUNT_WORK``."""
-    m, L, B = p
-    work = _count_work(m, L, B) + _count_work(m, 2 * L, 2 * B)
-    for k in range(min(m, L) + 1):
-        work += _count_work(k, L - k, B - 1) + _count_work(m - k, L, B)
+    ``exactcount._count_work`` at more than ``exactcount.MAX_COUNT_WORK``."""
+    work = _count_work(*p) + _count_work(*_doubled(p))
+    for _, neg, rest in _convolution(p):
+        work += _count_work(*neg) + _count_work(*rest)
         if work > MAX_COUNT_WORK:
             raise ValueError(
-                f"the counted bound's {2 * min(m, L) + 4} exact counts are estimated "
+                f"the counted bound's {2 * min(p.m, p.L) + 4} exact counts are estimated "
                 f"at more than the limit of {MAX_COUNT_WORK:.3g} units of work"
             )
 
@@ -234,7 +239,7 @@ def theta_bound(p: WParams) -> BoundReport:
     ``theta_bound_exact(build_U(p))``, with no set built and no pair formed.
     Raises ``ValueError`` before counting when m*log10(2B+1) exceeds
     ``MAX_Q_DIGITS`` or its counts' estimated work exceeds
-    ``wcount.MAX_COUNT_WORK``.
+    ``exactcount.MAX_COUNT_WORK``.
     """
     if min(p) < 1:  # then max U = 0
         raise ValueError("U = {0} has no meaningful scale (log q = 0)")
@@ -248,7 +253,7 @@ def theta_bound(p: WParams) -> BoundReport:
     return _report(
         count_W(p).exact,
         diff_count(p).exact,
-        count_W(WParams(p.m, 2 * p.L, 2 * p.B)).exact,
+        count_W(_doubled(p)).exact,
         2 * max_U(p) + 1,
     )
 
@@ -262,7 +267,7 @@ def verify_sumset_identity(p: WParams, cap: int | None = None) -> bool:
     U = build_U(p, cap)
     _check_pairs(len(U), cap)
     lhs = _distinct_sums(U)
-    rhs = count_W(WParams(p.m, 2 * p.L, 2 * p.B)).exact
+    rhs = count_W(_doubled(p)).exact
     return lhs == rhs
 
 

@@ -1,0 +1,124 @@
+"""The exact count |W(m, L, B)| by inclusion-exclusion, and its work estimate.
+
+|W(m, L, B)| = sum_k (-1)^k C(m, k) C(L - k(B+1) + m, m) over the k
+coordinates that exceed B.  ``_count`` sums its terms swept down from the
+last, in blocks with one pair of big-integer divisions a block;
+``_count_work`` estimates that work in O(1) float arithmetic, and a count
+past ``MAX_COUNT_WORK`` is refused before it starts.  Kept apart from
+``wcount`` so that each module compiles on its own: a cold ``count`` with no
+cached bytecode compiles both, and its peak memory is the larger compile's,
+not their sum.
+"""
+from __future__ import annotations
+
+import math
+
+
+#: bit budget of a block's divisor, the product of its ratio denominators
+_BLOCK_BITS = 1024
+
+#: wider ratio factors step alone: past about four machine words, a wider
+#: divisor costs more than it saves
+_WIDE_BITS = 128
+
+#: so do sweeps from a shorter first term: dividing a short term costs less
+#: than a block's bookkeeping
+_SHORT_BITS = 512
+
+#: largest ``_count_work`` of one count, or of ``construct.theta_bound``'s
+#: counts together: 8-26 s at the 0.5-1.7 ns a unit measured
+MAX_COUNT_WORK = 15_000_000_000
+
+
+def _log2_comb(n: int, k: int) -> float:
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
+
+
+def _count_work(m: int, L: int, B: int) -> float:
+    """Estimated cost of ``_count(m, L, B)``, in O(1) float work.
+
+    The first term's binomials, C(m, K) and C(m + rho, m), cost the square of
+    their bits over 32 (``math.comb`` is about quadratic in them); each of
+    the K steps, the bits of the count, min((B+1)^m, C(L+m, m)), times the
+    width of a ratio factor in units of ``_WIDE_BITS`` once it is wider: a
+    step divides a number of about those bits by that factor.
+    """
+    L = min(L, m * B)
+    s = B + 1
+    K = min(m, L // s)
+    start = _log2_comb(m, K) + _log2_comb(L - K * s + m, m)
+    bits = min(m * math.log2(s), _log2_comb(L + m, m))
+    width = m.bit_length() + min(m, s) * (L + m).bit_length()
+    return start * start / 32 + K * bits * max(1.0, width / _WIDE_BITS)
+
+
+def _count(m: int, L: int, B: int) -> int:
+    """|W(m, L, B)| by inclusion-exclusion over the coordinates above B.
+
+    |W(m, L, B)| = sum_k (-1)^k C(m, k) C(L - k(B+1) + m, m), over
+    k <= K = min(m, floor(L/(B+1))) after L is saturated at m*B, swept down
+    from k = K, each term carried to the one before by a ratio of two small
+    products.  The steps run in blocks whose ratio denominators multiply to
+    under ``_BLOCK_BITS`` bits, and a block divides the big terms twice, not
+    once a step; with factors wider than ``_WIDE_BITS``, or a first term
+    shorter than ``_SHORT_BITS``, every step takes one division.  Raises
+    ``ValueError`` before counting when ``_count_work`` exceeds
+    ``MAX_COUNT_WORK``.
+    """
+    L = min(L, m * B)
+    # z bounds K, the ratio width and the bits of every term by 2z, as
+    # C(m, k) < 2^m and C(n, m) <= (L+m)^m: the estimate is below z^3
+    z = m * (L + m).bit_length()
+    if z * z * z > MAX_COUNT_WORK:
+        work = _count_work(m, L, B)
+        if work > MAX_COUNT_WORK:
+            raise ValueError(
+                f"the count of W{(m, L, B)} is estimated at {work:.3g} units of work, "
+                f"past the limit of {MAX_COUNT_WORK:.3g}"
+            )
+    s = B + 1
+    K = min(m, L // s)
+    if not K:
+        return math.comb(L + m, m)
+    # C(n, m) / C(n-s, m) = perm(n, s) / perm(n-m, s) = perm(n, m) / perm(n-s, m):
+    # the shorter of the two products, a factors each, all of them >= 1
+    a, b = (s, m) if s < m else (m, s)
+    n = L - K * s + m  # term t_k = (-1)^k C(m, k) C(n, m), here k = K
+    term = math.comb(m, K) * math.comb(n, m)
+    if K & 1:
+        term = -term
+    total = term
+    g = 1  # steps a block
+    if term.bit_length() >= _SHORT_BITS:
+        width = m.bit_length() + a * (L + m).bit_length()  # bits of m*(L+m)^a, above any factor's
+        if width <= _WIDE_BITS:
+            g = _BLOCK_BITS // width
+    if g == 1:
+        for k in range(K, 0, -1):
+            n += s
+            # t_{k-1}/t_k = -k C(n, m) / ((m-k+1) C(n-s, m)), an exact division
+            term = -term * (k * math.perm(n, a)) // ((m - k + 1) * math.perm(n - b, a))
+            total += term
+        return total
+    # In a block from term = t_i down to t_j, Q/P = t_j/term and, by Horner's
+    # rule, T/P = (t_{i-1} + ... + t_{j+1})/term, the terms in between.  From
+    # T = -1 the first step leaves T = 0, so a one-step block has T = 0.
+    P = Q = 1
+    T = -1
+    for k in range(K, 0, -1):
+        n += s
+        p = (m - k + 1) * math.perm(n - b, a)
+        P *= p
+        T = (T + Q) * p
+        Q *= -k * math.perm(n, a)
+        if (k - 1) % g:
+            continue
+        # the block ends at t_{k-1}, k-1 a multiple of g; both quotients are
+        # sums of terms, so both divisions are exact
+        if T:
+            total += term * T // P
+        term = term * Q // P
+        total += term
+        P = Q = 1
+        T = -1
+    return total

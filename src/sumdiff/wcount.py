@@ -3,15 +3,15 @@
 W(m, L, B) is the set of vectors x in N^m with every coordinate <= B and
 coordinate sum <= L; V(m, L) = W(m, L, L) is the unbounded special case with
 |V(m, L)| = C(m+L, m).  Counts are exact arbitrary-precision integers, by
-inclusion-exclusion over the coordinates that exceed B, its terms summed in
-blocks with one pair of big-integer divisions a block; the finite-m growth
-rate is the logarithm of the same count.  A count whose estimated work
-(``_count_work``) exceeds ``MAX_COUNT_WORK`` is refused before it starts.
+inclusion-exclusion over the coordinates that exceed B (``exactcount``); the
+finite-m growth rate is the logarithm of the same count.
 """
 from __future__ import annotations
 
 import math
 from typing import Iterator, NamedTuple
+
+from .exactcount import _count
 
 #: coordinate vector of a lattice point
 LatticeVector = tuple[int, ...]
@@ -22,20 +22,15 @@ DEFAULT_ENUM_CAP = 10_000_000
 class EnumerationCapError(ValueError):
     """Raised when an enumeration would exceed the configured cap.
 
-    ``count`` is exact; the message gives a count of more than 20 digits by
-    its number of digits, since an exact count may be too long to print.
+    ``count`` is exact; the message gives a count of more than 64 bits by its
+    number of bits, since an exact count may be too long to print.
     """
 
     def __init__(self, count: int, cap: int, what: str = "vectors"):
         self.count = count
         self.cap = cap
-        if count < 10**20:
-            shown = str(count)
-        else:
-            digits = int(count.bit_length() * math.log10(2)) + 1  # or one more than the digits
-            if 10 ** (digits - 1) > count:
-                digits -= 1
-            shown = f"a {digits:,}-digit number of"
+        bits = count.bit_length()
+        shown = str(count) if bits <= 64 else f"a {bits:,}-bit number of"
         super().__init__(f"enumeration of {shown} {what} exceeds the cap of {cap}")
 
 
@@ -67,98 +62,8 @@ class CountValue(NamedTuple):
         return cls(n, math.log(n) if n > 0 else -math.inf)
 
 
-#: bit budget of a block's divisor, the product of its ratio denominators
-_BLOCK_BITS = 1024
-
-#: wider ratio factors step alone: past about four machine words, a wider
-#: divisor costs more than it saves
-_WIDE_BITS = 128
-
-#: largest ``_count_work`` of one count, or of ``construct.theta_bound``'s
-#: counts together: 8-26 s at the 0.5-1.7 ns a unit measured
-MAX_COUNT_WORK = 1.5e10
-
-
-def _count_work(m: int, L: int, B: int) -> float:
-    """Estimated cost of ``_count(m, L, B)``, in O(1) float work.
-
-    Its steps times the bits of the count, min((B+1)^m, C(L+m, m)), times
-    the width of a ratio factor in units of ``_WIDE_BITS`` once it is wider:
-    a step divides a number of about those bits by that factor.
-    """
-    L = min(L, m * B)
-    steps = min(m, L // (B + 1))
-    if not steps:
-        return 0.0
-    log_binom = math.lgamma(L + m + 1) - math.lgamma(L + 1) - math.lgamma(m + 1)
-    bits = min(m * math.log2(B + 1), log_binom / math.log(2))
-    width = m.bit_length() + min(m, B + 1) * (L + m).bit_length()
-    return steps * bits * max(1.0, width / _WIDE_BITS)
-
-
-def _count(m: int, L: int, B: int) -> int:
-    """|W(m, L, B)| by inclusion-exclusion over the coordinates above B.
-
-    |W(m, L, B)| = sum_k (-1)^k C(m, k) C(L - k(B+1) + m, m), over
-    k <= K = min(m, floor(L/(B+1))) after L is saturated at m*B, swept down
-    from k = K, each term carried to the one before by a ratio of two small
-    products.  The steps run in blocks whose ratio denominators multiply to
-    under ``_BLOCK_BITS`` bits, and a block divides the big terms twice, not
-    once a step; with factors wider than ``_WIDE_BITS`` a block is one step
-    and one division.  Raises ``ValueError`` before counting when
-    ``_count_work`` exceeds ``MAX_COUNT_WORK``.
-    """
-    L = min(L, m * B)
-    s = B + 1
-    K = min(m, L // s)
-    if not K:
-        return math.comb(L + m, m)
-    # C(n, m) / C(n-s, m) = perm(n, s) / perm(n-m, s) = perm(n, m) / perm(n-s, m):
-    # the shorter of the two products, a factors each, all of them >= 1
-    a, b = (s, m) if s < m else (m, s)
-    width = m.bit_length() + a * (L + m).bit_length()  # bits of m*(L+m)^a, above any factor's
-    # K*m*width^2 bounds the estimate from above, so small counts skip it:
-    # log2(B+1) < width, as L >= B+1 here
-    if K * m * width * width > MAX_COUNT_WORK:
-        work = _count_work(m, L, B)
-        if work > MAX_COUNT_WORK:
-            raise ValueError(
-                f"the count of W{(m, L, B)} is estimated at {work:.3g} units of work, "
-                f"past the limit of {MAX_COUNT_WORK:.3g}"
-            )
-    g = _BLOCK_BITS // width if width <= _WIDE_BITS else 1  # steps a block
-    n = L - K * s + m  # term t_k = (-1)^k C(m, k) C(n, m), here k = K
-    term = math.comb(m, K) * math.comb(n, m)
-    if K & 1:
-        term = -term
-    total = term
-    # In a block from term = t_i down to t_j, Q/P = t_j/term and, by Horner's
-    # rule, T/P = (t_{i-1} + ... + t_{j+1})/term, the terms in between.  From
-    # T = -1 the first step leaves T = 0, so a one-step block has T = 0.
-    P = Q = 1
-    T = -1
-    for k in range(K, 0, -1):
-        n += s
-        # t_{k-1}/t_k = -k C(n, m) / ((m-k+1) C(n-s, m)), in a-factor products
-        p = (m - k + 1) * math.perm(n - b, a)
-        P *= p
-        T = (T + Q) * p
-        Q *= -k * math.perm(n, a)
-        if (k - 1) % g:
-            continue
-        # the block ends at t_{k-1}, k-1 a multiple of g; both quotients are
-        # sums of terms, so both divisions are exact
-        if T:
-            total += term * T // P
-        term = term * Q // P
-        total += term
-        P = Q = 1
-        T = -1
-    return total
-
-
 def count_W(p: WParams) -> CountValue:
-    """Exact |W(m, L, B)| by inclusion-exclusion (see ``_count``).
+    """Exact |W(m, L, B)| by inclusion-exclusion (see ``exactcount._count``).
 
     Saturates the sum bound at m*B first; counts are invariant under that
     replacement.

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sumdiff
-from sumdiff import construct, optimize, ratefn, wcount
+from sumdiff import construct, exactcount, optimize, ratefn, wcount
 from sumdiff.cli import main
 from sumdiff.ratefn import MAX_B, RateResult
 from sumdiff.wcount import CountValue
@@ -240,7 +240,13 @@ def test_bound_refuses_past_convolution_limit_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
-    assert "8004 exact counts" in err and f"{wcount.MAX_COUNT_WORK:.3g}" in err
+    assert "8004 exact counts" in err and f"{exactcount.MAX_COUNT_WORK:.3g}" in err
+    # K = 0 and K = 1 at every count: the first binomials alone are past the limit
+    for B in ("15001", "7500"):
+        code, out, err = run(capsys, "bound", "--m", "15000", "--L", "15000", "--B", B)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "30004 exact counts" in err
 
 
 def test_count_refuses_past_work_limit_exit_2(capsys, monkeypatch):
@@ -342,7 +348,8 @@ def test_public_name_loads_only_its_submodule():
         "import sys; from sumdiff import log_count_rate; "
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('sumdiff.'))))"
     ).split()
-    assert loaded == ["sumdiff.wcount"]
+    # wcount and the exact count it imports; no cli, construct, optimize or ratefn
+    assert loaded == ["sumdiff.exactcount", "sumdiff.wcount"]
 
 
 def test_every_public_and_submodule_name_resolves():

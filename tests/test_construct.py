@@ -175,9 +175,15 @@ class TestCountedBound:
 class TestWorkLimit:
     """theta_bound sums the estimated work of its counts and refuses past the limit."""
 
-    @pytest.mark.parametrize("p", [WParams(4000, 8000, 5), WParams(500, 5_000_000, 10_000)])
-    def test_refused_before_counting(self, monkeypatch, p):
+    @pytest.mark.parametrize("p", [
         # both ran for over half a minute under the old limit of 4,000 convolution terms
+        WParams(4000, 8000, 5),
+        WParams(500, 5_000_000, 10_000),
+        # every count at K = 0 or 1: the first binomials are most of the work
+        WParams(15000, 15000, 15001),
+        WParams(15000, 15000, 7500),
+    ])
+    def test_refused_before_counting(self, monkeypatch, p):
         def no_call(*args):
             raise AssertionError("counted past the work limit")
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumdiff import wcount
+from sumdiff import exactcount
 from sumdiff.ratefn import RateQuery, log_W_rate_limit
+from sumdiff.exactcount import MAX_COUNT_WORK
 from sumdiff.wcount import (
-    MAX_COUNT_WORK,
     CountValue,
     EnumerationCapError,
     WParams,
@@ -55,10 +55,15 @@ def ie_count(m, L, B):
 def block_steps(m, L, B):
     """Steps a block of ``_count`` at most, by the rule of its docstring:
     divisors under _BLOCK_BITS from factors of at most m*(L+m)^a bits, and a
-    factor wider than _WIDE_BITS alone."""
+    factor wider than _WIDE_BITS, or a first term shorter than _SHORT_BITS,
+    one step alone."""
     L = min(L, m * B)
+    K = min(m, L // (B + 1))
     width = m.bit_length() + min(m, B + 1) * (L + m).bit_length()
-    return wcount._BLOCK_BITS // width if width <= wcount._WIDE_BITS else 1
+    first = math.comb(m, K) * math.comb(L - K * (B + 1) + m, m)
+    if width > exactcount._WIDE_BITS or first.bit_length() < exactcount._SHORT_BITS:
+        return 1
+    return exactcount._BLOCK_BITS // width
 
 
 def pascal(m, k):
@@ -148,11 +153,12 @@ class TestBlockedCount:
     @pytest.mark.parametrize("block_bits", [256, 1024])
     @pytest.mark.parametrize("m, B", [(100, 2), (61, 1), (10, 10), (9, 20), (20, 30)])
     def test_every_K_across_block_ends(self, monkeypatch, block_bits, m, B):
-        monkeypatch.setattr(wcount, "_BLOCK_BITS", block_bits)
+        monkeypatch.setattr(exactcount, "_BLOCK_BITS", block_bits)
+        monkeypatch.setattr(exactcount, "_SHORT_BITS", 0)  # blocks from the shortest terms
         names = ("0", "1", "g-1", "g", "g+1", "2g+1")
         reached = set()
         for L in range(m * B + 3):
-            assert wcount._count(m, L, B) == ie_count(m, L, B), (m, L, B)
+            assert exactcount._count(m, L, B) == ie_count(m, L, B), (m, L, B)
             K = min(m, L // (B + 1))
             g = block_steps(m, L, B)
             # K at and around a block's end; odd and even K come with every K
@@ -161,13 +167,18 @@ class TestBlockedCount:
             assert reached == set(names)
 
     def test_several_blocks_against_dp(self):
-        m, L, B = 300, 600, 3
+        m, L, B = 1000, 2000, 3
         assert min(m, L // (B + 1)) > 5 * block_steps(m, L, B) > 5
-        assert wcount._count(m, L, B) == dp_count(m, L, B)
+        assert exactcount._count(m, L, B) == dp_count(m, L, B)
 
-    def test_wide_ratio_one_step_a_block(self):
-        assert block_steps(40, 3000, 200) == 1
-        assert wcount._count(40, 3000, 200) == ie_count(40, 3000, 200)
+    @pytest.mark.parametrize("m, L, B", [
+        (40, 3000, 200),  # a ratio too wide to block
+        (100, 50, 2),  # a first term too short to block
+        (300, 600, 3),
+    ])
+    def test_one_step_a_block(self, m, L, B):
+        assert block_steps(m, L, B) == 1
+        assert exactcount._count(m, L, B) == ie_count(m, L, B)
 
 
 class TestWorkLimit:
@@ -186,6 +197,7 @@ class TestWorkLimit:
         lambda: enumerate_W(WParams(10**6, 10**6, 3)),
         lambda: log_count_rate(10**6, 1.0, 3),
         lambda: count_W(WParams(40_000, 10**6, 10_000)),  # 99 steps, but wide ratios
+        lambda: count_W(WParams(10**6, 10**6, 10**6)),  # no step: K = 0
     ])
     def test_refused_before_counting(self, no_big_integers, call):
         with pytest.raises(ValueError, match="units of work") as exc:
@@ -201,13 +213,27 @@ class TestWorkLimit:
         (80_000, 80_000, 3),
     ])
     def test_accepted_sizes(self, m, L, B):
-        assert 0 < wcount._count_work(m, L, B) < MAX_COUNT_WORK
+        assert 0 < exactcount._count_work(m, L, B) < MAX_COUNT_WORK
 
     def test_estimate_grows_with_the_ratio_width(self):
         # the same count bits, B+1 = 1001 factors a ratio: 5x the plain steps x bits
         steps, bits = 99, 500 * math.log2(1001)
-        assert wcount._count_work(500, 100_000, 1000) > 5 * steps * bits
-        assert wcount._count_work(0, 5, 2) == wcount._count_work(5, 3, 3) == 0.0
+        assert exactcount._count_work(500, 100_000, 1000) > 5 * steps * bits
+
+    def test_estimate_charges_the_first_binomials(self):
+        # K = 0: the count is the one binomial C(30000, 15000), of 29,992 bits
+        assert math.isclose(exactcount._count_work(15000, 15000, 15001), 29_992**2 / 32, rel_tol=1e-3)
+        assert exactcount._count_work(0, 5, 2) == 0.0
+        # K = 1: C(15000, 1) C(15000 + 7499, 15000), of 13.9 + 20,653 bits, then a step
+        assert exactcount._count_work(15000, 15000, 7500) > 20_666**2 / 32
+
+    @given(st.integers(0, 10**6), st.integers(0, 10**7), st.integers(0, 10**6))
+    @example(1, 0, 0)
+    @example(2, 2, 1)
+    def test_estimate_below_the_skip_bound(self, m, L, B):
+        # _count skips the estimate when z^3 is under the limit, z = m*bits(L'+m)
+        z = m * (min(L, m * B) + m).bit_length()
+        assert exactcount._count_work(m, L, B) <= z**3
 
 
 class TestBinomial:
@@ -241,17 +267,20 @@ class TestEnumerateW:
             assert len(vs) == len(set(vs)) == count_W(WParams(m, L, B)).exact
             assert all(len(v) == m and sum(v) <= L and max(v, default=0) <= B for v in vs)
 
-    def test_cap_error_gives_a_long_count_by_its_digits(self):
+    def test_cap_error_gives_a_long_count_by_its_bits(self):
         # |W(9000, 9000, 3)| has 5,017 digits, past the 4,300 that str() converts
         # by default
         with pytest.raises(EnumerationCapError) as exc:
             enumerate_W(WParams(9000, 9000, 3))
         assert exc.value.count == count_W(WParams(9000, 9000, 3)).exact
+        assert exc.value.count.bit_length() == 16_665
         assert str(exc.value) == (
-            "enumeration of a 5,017-digit number of vectors exceeds the cap of 10000000"
+            "enumeration of a 16,665-bit number of vectors exceeds the cap of 10000000"
         )
-        assert str(EnumerationCapError(10**20 - 1, 5)).startswith("enumeration of 9999")
-        assert "a 21-digit number of pairs" in str(EnumerationCapError(10**20, 5, "pairs"))
+        assert str(EnumerationCapError(2**64 - 1, 5)) == (
+            "enumeration of 18446744073709551615 vectors exceeds the cap of 5"
+        )
+        assert "a 65-bit number of pairs" in str(EnumerationCapError(2**64, 5, "pairs"))
 
     def test_cap_error_names_cap_and_count(self):
         with pytest.raises(EnumerationCapError) as exc:
