@@ -6,12 +6,14 @@ For fixed B the bound on theta - 1 is
       - (1-ar) I(r/(1-ar), B) - log(2B+1) + I(2r, 2B) ] / log(2B+1)
 
 maximized first in a over (0, min(1, 1/r)), then in r over [0.5, 2], both
-to x-tolerance eps.  The numerator is concave in a, and the rate solves give
-its slope and curvature in closed form (I'(c) = t*, I''(c) = 1/Var at t*), so
-the inner search is a safeguarded Newton iteration; the outer search in r is
-a bracketed derivative-free (Brent) search.  The rate solves all run at the
-one fixed tolerance ratefn.DEFAULT_TOL (1e-12), whatever eps is, so the eps
-columns of the result table measure only the 1-D searches.
+to x-tolerance eps.  The rate solves give every partial of the numerator in
+closed form (I'(c) = t*, I''(c) = 1/Var at t*).  The numerator is concave in
+a, so the inner search is a safeguarded Newton iteration on its a-slope.  The
+outer search is the same Newton loop on the inner maximum V(r): by the
+envelope theorem V'(r) is the numerator's r-slope at a*(r), and V''(r) adds
+to its r-curvature the cross term's pull through da*/dr.  The rate solves all
+run at the one fixed tolerance ratefn.DEFAULT_TOL (1e-12), whatever eps is,
+so the eps columns of the result table measure only the 1-D searches.
 """
 from __future__ import annotations
 
@@ -25,10 +27,11 @@ from .ratefn import MAX_B, _rate_value
 TABLE_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
 
 _LOG2 = math.log(2.0)
-_SQRT_EPS = math.sqrt(2.220446049250313e-16)
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-_BRENT_MAXFUN = 500
 _NEWTON_MAXFUN = 100
+
+#: start of the r-search: the headline B = 5's r*, below r = 1, where the
+#: inner maximum of B = 2 turns flat and its slope stops pointing to r = 0.5
+_R_START = 0.805
 
 
 class ThetaPoint(NamedTuple):
@@ -41,7 +44,12 @@ class ThetaPoint(NamedTuple):
 
 
 class OptimizationReport(NamedTuple):
-    """Per-B optimum at a given search tolerance: one table cell."""
+    """Per-B optimum at a given search tolerance: one table cell.
+
+    r_slope and r_curvature are V'(r*) and V''(r*) of the inner maximum
+    V(r) = max_a numerator, divided by log(2B+1) like theta_minus_1: near 0
+    and negative at an interior maximum.
+    """
 
     B: int
     epsilon: float
@@ -49,6 +57,8 @@ class OptimizationReport(NamedTuple):
     a_star: float
     theta_minus_1: float
     evaluations: int
+    r_slope: float
+    r_curvature: float
 
 
 def _check_B(B) -> None:
@@ -77,101 +87,61 @@ def theta_objective(B: int, r: float, a: float) -> ThetaPoint:
         raise ValueError(f"r must be a positive finite real, got {r!r}")
     if not 0.0 < a < min(1.0, 1.0 / r):
         raise ValueError(f"a={a!r} outside the open interval (0, min(1, 1/r)) for r={r!r}")
-    theta_minus_1 = _numerator(_log_diff_rate(a, r, B)[0], r, B) / math.log(2 * B + 1)
+    theta_minus_1 = _numerator(_log_diff_rate(a, r, B)[0], r, B)[0] / math.log(2 * B + 1)
     if not math.isfinite(theta_minus_1):
         raise ArithmeticError(f"non-finite objective at B={B}, r={r}, a={a}")
     return ThetaPoint(B, r, a, theta_minus_1)
 
 
-def _brent_min(f, x1: float, x2: float, xatol: float):
-    """Bracketed 1-D minimizer: golden section with parabolic acceleration.
+def _newton_max(F, x: float, lo: float, hi: float, eps: float) -> tuple[float, tuple, int]:
+    """(x_max, F(x_max), evaluations) of a safeguarded Newton search from x on [lo, hi].
 
-    Classic Forsythe-Malcolm-Moler bounded search.  Never evaluates the
-    endpoints; stops once the best point sits within
-    2*(sqrt(machine eps)*|x| + xatol/3) of the bracket midpoint.
-
-    Returns (x_min, f_min, evaluations).
+    F(x) returns a tuple that starts (f, f', f''); the rest rides along to the
+    caller.  f must be unimodal on [lo, hi], so the sign of f' at each point
+    says on which side the maximum lies.  A Newton step that leaves that open
+    sign bracket, or is taken where f'' >= 0, is replaced by bisection.  The
+    search stops at f' = 0, at a step that would not move x, at a bracket
+    that admits no new point, once a step of at most eps is taken (returning
+    the better of its two ends), or after _NEWTON_MAXFUN evaluations.
     """
-    a, b = x1, x2
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
+    y = F(x)
     num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:
-            # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if (abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
-                rat = p / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN_MEAN * e
-
-        si = 1.0 if rat >= 0.0 else -1.0
-        x = xf + si * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    while y[1] != 0.0 and num < _NEWTON_MAXFUN:
+        if y[1] > 0.0:
+            lo = x
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _BRENT_MAXFUN:
+            hi = x
+        step = x - y[1] / y[2] if y[2] < 0.0 else math.nan
+        if step == x:
             break
-    return xf, fx, num
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                break
+        y_step = F(step)
+        num += 1
+        if abs(step - x) <= eps:
+            if y_step[0] > y[0]:
+                x, y = step, y_step
+            break
+        x, y = step, y_step
+    return x, y, num
 
 
-def _log_diff_rate(a: float, r: float, B: int) -> tuple[float, float, float]:
-    """(f, f', f'') in a of the six a-dependent numerator terms, the a-search's objective.
+def _log_diff_rate(a: float, r: float, B: int) -> tuple[float, float, float, float, float, float]:
+    """(f, f_a, f_aa, f_r, f_rr, f_ar): the six a-dependent numerator terms and their partials.
 
-    f(a) = log2 + ar*log(B) + (1-ar)*log(B+1) - I1 - ar*I2 - (1-ar)*I3 with
+    f(a, r) = log2 + ar*log(B) + (1-ar)*log(B+1) - I1 - ar*I2 - (1-ar)*I3 with
     I1 = I(ar, 1), I2 = I((1-a)/a, B-1), I3 = I(r/(1-ar), B).  With t_i =
-    I_i' and k_i = I_i'' >= 0 from the rate solves,
+    I_i' and k_i = I_i'' >= 0 from the rate solves, s = 1 - ar,
+    g = log(B/(B+1)) - t1 - I2 + I3 and h = g + t2/a - r*t3/s,
 
-        f'  = r*(log(B/(B+1)) - t1 - I2 + t2/a + I3 - r*t3/(1-ar))
-        f'' = -r^2*k1 - r*k2/a^3 - r^4*k3/(1-ar)^3 <= 0,
+        f_a  = r*h                   f_aa = -r^2*k1 - r*k2/a^3 - r^4*k3/s^3 <= 0
+        f_r  = a*g - t3/s            f_rr = -(a^2*k1 + k3/s^3)
+        f_ar = h - r*(a*k1 + r*k3/s^3)
 
-    so f is concave; I is C^1 across c = B/2, so f' is continuous there.
+    so f is concave in a; I is C^1 across c = B/2, so the slopes are
+    continuous there and only the curvatures jump.
     """
     ar = a * r
     s = 1.0 - ar
@@ -184,49 +154,42 @@ def _log_diff_rate(a: float, r: float, B: int) -> tuple[float, float, float]:
     v -= i1
     v -= ar * i2
     v -= s * i3
-    d1 = r * (math.log(B / (B + 1)) - t1 - i2 + t2 / a + i3 - r * t3 / s)
-    d2 = -r * (r * k1 + k2 / (a * a * a) + r * r * r * k3 / (s * s * s))
-    return v, d1, d2
+    g = math.log(B / (B + 1)) - t1 - i2 + i3
+    h = g + t2 / a - r * t3 / s
+    k3s = k3 / (s * s * s)
+    f_aa = -r * (r * k1 + k2 / (a * a * a) + r * r * r * k3s)
+    return v, r * h, f_aa, a * g - t3 / s, -(a * a * k1 + k3s), h - r * (a * k1 + r * k3s)
 
 
-def _numerator(a_terms: float, r: float, B: int) -> float:
-    """The bound numerator: _log_diff_rate's a_terms - log(2B+1) + I(2r, 2B)."""
-    return (a_terms - math.log(2 * B + 1)) + _rate_value(2.0 * r, 2 * B)[0]
+def _numerator(a_terms: float, r: float, B: int) -> tuple[float, float, float]:
+    """(N, N_r - f_r, N_rr - f_rr) of the bound numerator N = a_terms - log(2B+1) + I(2r, 2B).
+
+    The one I(2r, 2B) solve gives the value and, from its tilt t4 and
+    curvature k4, that term's r-slope 2*t4 and r-curvature 4*k4.
+    """
+    i4, t4, k4 = _rate_value(2.0 * r, 2 * B)[:3]
+    return (a_terms - math.log(2 * B + 1)) + i4, 2.0 * t4, 4.0 * k4
 
 
-def _search_a(B: int, r: float, eps: float, a: float | None) -> tuple[float, float, int]:
-    """(a_star, numerator value, evaluations) of the a-search at fixed (B, r).
+def _search_a(B: int, r: float, eps: float, a: float | None) -> tuple[float, float, float, float, float, int]:
+    """(V, V', V'', a_star, da*/dr, evaluations) of the a-search at fixed (B, r).
 
-    The bracket is inset by max(eps, 1e-12) from the poles 0 and 1/r.
-    Safeguarded Newton on f' from the start a (clipped into the bracket; None
-    starts at its midpoint).  f is concave, so the sign of f' at each point
-    says on which side the maximum lies; a step that leaves that sign bracket,
-    or meets f'' = 0, is replaced by bisection.  Once a step is at most eps it
-    is taken and the better of its two ends returned.
+    The bracket is inset by max(eps, 1e-12) from the poles 0 and 1/r.  The
+    Newton loop runs on f_a from the start a (clipped into the bracket; None
+    starts at its midpoint); f is concave in a, so f_a's sign brackets the
+    maximum.  V is the numerator at a_star.  By the envelope theorem
+    V'(r) = N_r there, and with da*/dr = -f_ar/f_aa (0 where f_aa = 0),
+    V''(r) = N_rr + f_ar*da*/dr.
     """
     lo = max(eps, 1e-12)
     hi = min(1.0, 1.0 / r) - lo
     if not lo < hi:
         raise ValueError(f"eps={eps!r} leaves no a-bracket [{lo!r}, {hi!r}] at r={r!r}")
     a = 0.5 * (lo + hi) if a is None else min(max(a, lo), hi)
-    f, d1, d2 = _log_diff_rate(a, r, B)
-    num = 1
-    while d1 != 0.0 and num < _NEWTON_MAXFUN:
-        if d1 > 0.0:
-            lo = a
-        else:
-            hi = a
-        step = a - d1 / d2 if d2 < 0.0 else math.nan
-        if not lo <= step <= hi:
-            step = 0.5 * (lo + hi)
-        f_step, d1, d2 = _log_diff_rate(step, r, B)
-        num += 1
-        if abs(step - a) <= eps:
-            if f_step > f:
-                a, f = step, f_step
-            break
-        a, f = step, f_step
-    return a, _numerator(f, r, B), num
+    a, (f, _, f_aa, f_r, f_rr, f_ar), num = _newton_max(lambda x: _log_diff_rate(x, r, B), a, lo, hi, eps)
+    value, n_r, n_rr = _numerator(f, r, B)
+    da_dr = -f_ar / f_aa if f_aa < 0.0 else 0.0
+    return value, f_r + n_r, f_rr + n_rr + f_ar * da_dr, a, da_dr, num
 
 
 def maximize_a(B: int, r: float, eps: float) -> tuple[float, float]:
@@ -239,38 +202,41 @@ def maximize_a(B: int, r: float, eps: float) -> tuple[float, float]:
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
     _check_eps(eps)
-    a_star, value, _ = _search_a(B, r, eps, None)
+    value, _, _, a_star, _, _ = _search_a(B, r, eps, None)
     return a_star, value
 
 
 def maximize_r(B: int, eps: float) -> OptimizationReport:
-    """Maximize over r in [0.5, 2] of the inner a-maximum at tolerance eps.
+    """Maximize over r in [0.5, 2] of the inner a-maximum V(r) at tolerance eps.
 
-    The outer search is derivative-free (Brent) in r; each inner Newton
-    search starts from the a* of the r searched before it.  evaluations
-    counts the objective evaluations of every inner search; r* is one of the
-    points the outer search evaluated, so its inner result is kept, not
-    searched again.
+    The outer search is the inner search's safeguarded Newton loop, run on
+    V'(r) and V''(r) from r = _R_START.  Each inner search starts at
+    the a* of the r searched before it, moved along its tangent da*/dr.
+    evaluations counts the objective evaluations of every inner search; r*
+    is one of the points the outer search evaluated, so its inner result is
+    kept, not searched again.
     """
     _check_B(B)
     _check_eps(eps)
     evaluations = 0
-    searched = {}
-    a_prev = None
+    last = None
 
     def outer(r):
-        nonlocal evaluations, a_prev
-        a_prev, value, num = searched[r] = _search_a(B, r, eps, a_prev)
-        evaluations += num
-        return -value
+        nonlocal evaluations, last
+        a = None if last is None else last[1] + last[2] * (r - last[0])
+        y = _search_a(B, r, eps, a)
+        evaluations += y[5]
+        last = (r, y[3], y[4])
+        return y
 
-    r_star, _, _ = _brent_min(outer, 0.5, 2.0, eps)
-    a_star, value, _ = searched[r_star]
+    r_star, (value, slope, curvature, a_star, _, _), _ = _newton_max(outer, _R_START, 0.5, 2.0, eps)
     margin = 10.0 * max(eps, 1e-8)
     if r_star - 0.5 < margin or 2.0 - r_star < margin:
         warnings.warn(f"r* = {r_star} sits at the edge of [0.5, 2] for B={B}", stacklevel=2)
-    theta_minus_1 = value / math.log(2 * B + 1)
-    return OptimizationReport(B, eps, r_star, a_star, theta_minus_1, evaluations)
+    log_q = math.log(2 * B + 1)
+    return OptimizationReport(
+        B, eps, r_star, a_star, value / log_q, evaluations, slope / log_q, curvature / log_q
+    )
 
 
 def table1(

@@ -72,6 +72,11 @@ class TestObjectiveDerivatives:
         # a grid across the a-bracket, skipping the kinks c = B/2 of the three
         # rate terms, where I'' jumps; every term is on its zero branch somewhere
         h1, h2 = 1e-6, 1e-5
+        f = optimize._log_diff_rate
+
+        def check(exact, difference, rel):
+            assert abs(exact - difference) <= rel * max(1.0, abs(exact))
+
         on_zero_branch = [0, 0, 0]
         for B in range(1, 11):
             for r in (0.5, 0.805, 1.4, 2.0):
@@ -84,19 +89,63 @@ class TestObjectiveDerivatives:
                     on_zero_branch[0] += a * r >= 0.5
                     on_zero_branch[1] += (1 - a) / a >= (B - 1) / 2
                     on_zero_branch[2] += r / (1 - a * r) >= B / 2
-                    _, d1, d2 = optimize._log_diff_rate(a, r, B)
-                    up, down = optimize._log_diff_rate(a + h1, r, B), optimize._log_diff_rate(a - h1, r, B)
-                    assert abs(d1 - (up[0] - down[0]) / (2 * h1)) <= 1e-8 * max(1.0, abs(d1))
-                    up, down = optimize._log_diff_rate(a + h2, r, B), optimize._log_diff_rate(a - h2, r, B)
-                    assert abs(d2 - (up[1] - down[1]) / (2 * h2)) <= 1e-5 * max(1.0, abs(d2))
+                    _, f_a, f_aa, f_r, f_rr, f_ar = f(a, r, B)
+                    up, down = f(a + h1, r, B), f(a - h1, r, B)
+                    check(f_a, (up[0] - down[0]) / (2 * h1), 1e-8)
+                    up, down = f(a, r + h1, B), f(a, r - h1, B)
+                    check(f_r, (up[0] - down[0]) / (2 * h1), 1e-8)
+                    up, down = f(a + h2, r, B), f(a - h2, r, B)
+                    check(f_aa, (up[1] - down[1]) / (2 * h2), 1e-5)
+                    check(f_ar, (up[3] - down[3]) / (2 * h2), 1e-5)
+                    up, down = f(a, r + h2, B), f(a, r - h2, B)
+                    check(f_rr, (up[3] - down[3]) / (2 * h2), 1e-5)
+                    check(f_ar, (up[1] - down[1]) / (2 * h2), 1e-5)
         assert min(on_zero_branch) > 0
+
+    def test_inner_maximum_slope_and_curvature(self):
+        # V(r) = max_a numerator: V' and V'' of the a-search against central
+        # differences of maximize_a's values
+        h1, h2 = 1e-5, 1e-4
+        for B in range(3, 11):
+            for r in (0.6, 0.805, 1.4):
+                _, v1, v2, _, _, _ = optimize._search_a(B, r, 1e-12, None)
+                up, mid, down = (maximize_a(B, r + d, 1e-12)[1] for d in (h1, 0.0, -h1))
+                assert abs(v1 - (up - down) / (2 * h1)) <= 1e-8
+                up, down = (maximize_a(B, r + d, 1e-12)[1] for d in (h2, -h2))
+                assert abs(v2 - (up - 2 * mid + down) / (h2 * h2)) <= 1e-5 * max(1.0, abs(v2))
 
     @given(st.integers(1, 40), st.floats(0.1, 10.0), st.floats(1e-6, 1.0 - 1e-6))
     def test_concave(self, B, r, frac):
         a = frac * min(1.0, 1.0 / r)
-        _, d1, d2 = optimize._log_diff_rate(a, r, B)
+        _, d1, d2 = optimize._log_diff_rate(a, r, B)[:3]
         assert math.isfinite(d1)
         assert d2 <= 0.0
+
+
+class TestNewtonMax:
+    # exp(-x^2/2) is unimodal with its maximum at 0, convex for |x| > 1 and
+    # has f'' = 0 exactly at x = +-1
+    @staticmethod
+    def bump(x):
+        e = math.exp(-0.5 * x * x)
+        return e, -x * e, (x * x - 1.0) * e
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12, 1e-300])
+    @pytest.mark.parametrize("start", [1.0, -1.0, 3.0, -3.5, 0.95, 5.9])
+    def test_safeguards_reach_the_maximum(self, start, eps):
+        # starts at f'' = 0, in both convex tails, and at 0.95, where the
+        # Newton step lands at -8.8, outside the bracket
+        calls = []
+
+        def F(x):
+            calls.append(x)
+            return self.bump(x)
+
+        x, y, num = optimize._newton_max(F, start, -4.0, 6.0, eps)
+        assert abs(x) <= eps
+        assert y == self.bump(x)
+        assert x in calls and num == len(calls) < optimize._NEWTON_MAXFUN
+        assert all(-4.0 < c < 6.0 for c in calls[1:])
 
 
 class TestMaximizeA:
@@ -118,7 +167,7 @@ class TestMaximizeA:
                 lo, hi = eps, min(1.0, 1.0 / r) - eps
                 a_star, value = maximize_a(B, r, eps)
                 grid = max(optimize._log_diff_rate(lo + (hi - lo) * k / 4000, r, B)[0] for k in range(4001))
-                assert value >= optimize._numerator(grid, r, B) - 1e-12
+                assert value >= optimize._numerator(grid, r, B)[0] - 1e-12
                 assert value / math.log(2 * B + 1) == theta_objective(B, r, a_star).theta_minus_1
                 # these optima are interior, where the slope vanishes
                 assert lo + 1e-6 < a_star < hi - 1e-6
@@ -145,6 +194,25 @@ class TestMaximizeR:
             rep = maximize_r(B, 1e-10)
             point = theta_objective(rep.B, rep.r_star, rep.a_star)
             assert rep.theta_minus_1 == point.theta_minus_1
+
+    def test_at_least_grid_maximum(self):
+        # oracle: the best inner maximum on a 151-point grid over the r-bracket
+        for B in range(3, 11):
+            best = max(maximize_a(B, 0.5 + 1.5 * k / 150, 1e-10)[1] for k in range(151))
+            assert maximize_r(B, 1e-10).theta_minus_1 * math.log(2 * B + 1) >= best - 1e-12
+
+    def test_slope_and_curvature_at_optimum(self):
+        for B in range(3, 11):
+            rep = maximize_r(B, 1e-10)
+            assert abs(rep.r_slope) <= 1e-8
+            assert rep.r_curvature < 0.0
+
+    def test_ends_at_tiny_eps(self):
+        # eps far below float spacing: the searches end on a step that would
+        # not move x or on a bracket that admits no new point
+        rep = maximize_r(5, 1e-300)
+        assert rep.evaluations < optimize._NEWTON_MAXFUN
+        assert abs(rep.theta_minus_1 - maximize_r(5, 1e-10).theta_minus_1) <= 1e-15
 
     def test_deterministic(self):
         assert maximize_r(6, 1e-8) == maximize_r(6, 1e-8)
@@ -207,6 +275,10 @@ class TestTable1:
             assert 0.5 < cell.r_star < 2.0
             assert 0.0 < cell.a_star < min(1.0, 1.0 / cell.r_star)
 
+    def test_default_table_evaluations(self):
+        # a guard on the search cost that needs no timing
+        assert sum(cell.evaluations for row in table1() for cell in row) <= 700
+
     def test_row_major_shape(self):
         rows = table1(eps_list=(1e-4, 1e-6), b_range=(1, 2))
         assert [[c.B for c in row] for row in rows] == [[1, 1], [2, 2]]
@@ -251,4 +323,6 @@ def test_default_eps_columns_match_published_layout():
         "a_star",
         "theta_minus_1",
         "evaluations",
+        "r_slope",
+        "r_curvature",
     }
