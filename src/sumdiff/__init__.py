@@ -32,7 +32,6 @@ _HOME = {
     "build_U": "construct",
     "diff_count": "construct",
     "diffset": "construct",
-    "encode_f": "construct",
     "encode_g": "construct",
     "max_U": "construct",
     "sumset": "construct",
@@ -41,6 +40,7 @@ _HOME = {
     "verify_diffset_identity": "construct",
     "verify_injectivity": "construct",
     "verify_sumset_identity": "construct",
+    "verify_triple": "construct",
     "OptimizationReport": "optimize",
     "ThetaPoint": "optimize",
     "maximize_a": "optimize",

@@ -137,17 +137,9 @@ def _cmd_verify(args) -> int:
     for m in range(args.max_m + 1):
         for L in range(args.max_L + 1):
             for B in range(1, args.max_B + 1):
-                p = wcount.WParams(m, L, B)
-                row = {
-                    "m": m,
-                    "L": L,
-                    "B": B,
-                    "sumset_identity": construct.verify_sumset_identity(p, args.cap),
-                    "diffset_identity": construct.verify_diffset_identity(p, args.cap),
-                    "injective_g": construct.verify_injectivity(p, "g", args.cap),
-                }
-                ok = row["sumset_identity"] and row["diffset_identity"] and row["injective_g"]
-                all_pass = all_pass and ok
+                s, d, g = construct.verify_triple(wcount.WParams(m, L, B), args.cap)
+                row = {"m": m, "L": L, "B": B, "sumset_identity": s, "diffset_identity": d, "injective_g": g}
+                all_pass = all_pass and s and d and g
                 checked.append(row)
         print(f"verified m={m}", file=sys.stderr)
     _emit(

@@ -1,4 +1,4 @@
-"""Integer sets built from bounded simplex vectors by carry-free digit maps.
+"""Integer sets built from bounded simplex vectors by the carry-free digit map g.
 
 The base-(2B+1) map g sends (x_1,...,x_m) to sum_k x_k (2B+1)^k.  Digit
 windows of width 2B+1 make vector addition and subtraction carry-free, so g
@@ -13,11 +13,12 @@ greedy fill of the top digits for max U, without building U or forming a
 pair.  The brute-force path (``build_U``, ``sumset``, ``diffset``,
 ``theta_bound_exact``) is its oracle: it enumerates U and all |U|^2 pairs,
 held to the enumeration cap, which is checked before any pair is formed.
-The ``verify_*`` checks compare the two at desk scale; they hold n^2 pairs to
-the cap but form only the pairs i <= j, since x + y = y + x and, over sorted
-items, x_j - x_i is the negation of x_i - x_j.  The legacy radix map
-f with weights w_0 = 1, w_k = 2L*w_{k-1} + 1 plays the same role for the
-unbounded sets V(m, L).
+``verify_triple`` checks both identities and the injectivity of g at desk
+scale in one pass: it enumerates W once, encodes each vector once, and
+counts distinct sums and differences over the vectors and over their images.
+It holds |W|^2 pairs to the cap before it enumerates anything, but forms only
+the pairs i <= j, since x + y = y + x and, over sorted items, x_j - x_i is
+the negation of x_i - x_j.
 """
 from __future__ import annotations
 
@@ -72,23 +73,6 @@ def encode_g(x: LatticeVector, B: int) -> int:
         if not -2 * B <= coord <= 2 * B:
             raise ValueError(f"coordinate {coord} outside the injectivity window [-{2*B}, {2*B}]")
         value = value * base + coord
-    return value
-
-
-def encode_f(x: LatticeVector, L: int) -> int:
-    """Radix value of x under the weights w_0 = 1, w_k = 2L*w_{k-1} + 1.
-
-    Coordinate x[i] is paired with weight w_i.
-    """
-    if not isinstance(L, int) or L < 1:
-        raise ValueError(f"L must be a positive integer, got {L!r}")
-    value = 0
-    weight = 1
-    for coord in x:
-        if not 0 <= coord <= L:
-            raise ValueError(f"coordinate {coord} outside [0, {L}]")
-        value += coord * weight
-        weight = 2 * L * weight + 1
     return value
 
 
@@ -258,57 +242,40 @@ def theta_bound(p: WParams) -> BoundReport:
     )
 
 
-def verify_sumset_identity(p: WParams, cap: int | None = None) -> bool:
-    """Check |U+U| = |W(m, 2L, 2B)| by exhaustive pair enumeration.
+def verify_triple(p: WParams, cap: int | None = None) -> tuple[bool, bool, bool]:
+    """Check (sumset identity, difference-set identity, injectivity of g) on p.
 
-    The cap holds |U|^2 pairs, but only the pairs i <= j are formed, since
-    u + v = v + u.
+    U + U and U - U are counted over the images g(x) and compared with
+    ``count_W(_doubled(p))`` and ``diff_count(p)``; g is injective on W+W and
+    W-W exactly when those counts equal the ones over the vectors, whose sums
+    and differences are taken coordinate by coordinate.  B >= 1 and |W|^2 <=
+    cap are checked before anything is enumerated.
     """
-    U = build_U(p, cap)
-    _check_pairs(len(U), cap)
-    lhs = _distinct_sums(U)
-    rhs = count_W(_doubled(p)).exact
-    return lhs == rhs
+    if p.B < 1:
+        raise ValueError("the difference-set convolution needs B >= 1")
+    _check_pairs(count_W(p).exact, cap)
+    vectors = enumerate_W(p, cap)
+    images = [encode_g(x, p.B) for x in vectors]
+    sums, diffs = _distinct_sums(images), _distinct_diffs(images)
+    return (
+        sums == count_W(_doubled(p)).exact,
+        diffs == diff_count(p).exact,
+        sums == _distinct_sums(vectors) and diffs == _distinct_diffs(vectors),
+    )
+
+
+def verify_sumset_identity(p: WParams, cap: int | None = None) -> bool:
+    """|U+U| = |W(m, 2L, 2B)|: the first check of ``verify_triple``."""
+    return verify_triple(p, cap)[0]
 
 
 def verify_diffset_identity(p: WParams, cap: int | None = None) -> bool:
-    """Check the difference-set convolution ``diff_count`` by exhaustive enumeration.
-
-    The cap holds |U|^2 pairs, but only the pairs i <= j of sorted U are
-    formed, since U - U is those differences and their negations.
-    """
-    rhs = diff_count(p).exact
-    U = build_U(p, cap)
-    _check_pairs(len(U), cap)
-    return _distinct_diffs(U) == rhs
+    """|U-U| = ``diff_count(p)``: the second check of ``verify_triple``."""
+    return verify_triple(p, cap)[1]
 
 
 def verify_injectivity(p: WParams, encoding: str = "g", cap: int | None = None) -> bool:
-    """Check that the digit map separates pairwise sums and differences.
-
-    encoding "g": base-(2B+1) map on W(m, L, B).
-    encoding "f": legacy radix map on V(m, L) (i.e. W with B = L).
-    A map is injective on W+W exactly when distinct vector sums get distinct
-    integers, so cardinalities of the two images are compared; likewise W-W.
-    Vector sums and differences are taken coordinate by coordinate, never
-    through a digit map.  The cap holds |W|^2 pairs, but only the pairs
-    i <= j are formed, for sums by symmetry and for differences over sorted
-    items by negation.
-    """
-    if encoding == "g":
-        vectors = enumerate_W(p, cap)
-        if p.B >= 1:
-            images = [encode_g(x, p.B) for x in vectors]
-        else:
-            images = [0] * len(vectors)  # B = 0: W is the single zero vector
-    elif encoding == "f":
-        if p.L < 1:
-            raise ValueError("the radix map needs L >= 1")
-        vectors = enumerate_W(WParams(p.m, p.L, p.L), cap)
-        images = [encode_f(x, p.L) for x in vectors]
-    else:
-        raise ValueError(f"encoding must be 'g' or 'f', got {encoding!r}")
-    _check_pairs(len(vectors), cap)
-    if _distinct_sums(vectors) != _distinct_sums(images):
-        return False
-    return _distinct_diffs(vectors) == _distinct_diffs(images)
+    """g injective on W+W and W-W: the third check of ``verify_triple``; g is the only encoding."""
+    if encoding != "g":
+        raise ValueError(f"encoding must be 'g', got {encoding!r}")
+    return verify_triple(p, cap)[2]

@@ -97,7 +97,32 @@ def test_verify_fails_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(construct, "encode_g", lambda x, B: sum(c * (2 * B) ** k for k, c in enumerate(x)))
     code, out, _ = run(capsys, "verify", "--max-m", "2", "--max-L", "2", "--max-B", "1")
     assert code == 1
-    assert '"all_pass": false' in out
+    results = json.loads(out)["results"]
+    assert results["all_pass"] is False
+    checks = ("sumset_identity", "diffset_identity", "injective_g")
+    failed = {
+        (r["m"], r["L"], r["B"]): [r[k] for k in checks]
+        for r in results["checked"]
+        if not all(r[k] for k in checks)
+    }
+    assert failed == {(2, 1, 1): [False] * 3, (2, 2, 1): [False] * 3}
+
+
+def test_verify_cap_exit_2(capsys):
+    # W(2, 1, 1) has 3 vectors, so 9 pairs
+    code, out, err = run(capsys, "verify", "--max-m", "2", "--max-L", "1", "--max-B", "1", "--cap", "8")
+    assert code == 2
+    assert out == ""
+    assert "9 pairs exceeds the cap of 8" in err
+
+
+def test_verify_enumerates_once_per_triple(capsys, monkeypatch):
+    calls = []
+    enumerate_W = construct.enumerate_W
+    monkeypatch.setattr(construct, "enumerate_W", lambda *a: calls.append(a) or enumerate_W(*a))
+    code, _ = run_json(capsys, "verify", "--max-m", "2", "--max-L", "2", "--max-B", "2")
+    assert code == 0
+    assert len(calls) == len({args[0] for args in calls}) == 3 * 3 * 2
 
 
 @pytest.mark.parametrize(

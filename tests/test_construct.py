@@ -10,7 +10,6 @@ from sumdiff.construct import (
     _distinct_sums,
     build_U,
     diffset,
-    encode_f,
     encode_g,
     max_U,
     sumset,
@@ -19,6 +18,7 @@ from sumdiff.construct import (
     verify_diffset_identity,
     verify_injectivity,
     verify_sumset_identity,
+    verify_triple,
 )
 from sumdiff.wcount import EnumerationCapError, WParams, count_W, enumerate_W
 
@@ -43,20 +43,6 @@ class TestEncodeG:
             encode_g((-5,), 2)
         with pytest.raises(ValueError):
             encode_g((1,), 0)
-
-
-class TestEncodeF:
-    def test_golden(self):
-        # weights for L=2: 1, 5, 21 (w_k = 2L*w_{k-1} + 1)
-        assert encode_f((0, 0), 2) == 0
-        assert encode_f((1, 2), 2) == 11
-        assert encode_f((1, 1, 1), 2) == 27
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            encode_f((3,), 2)
-        with pytest.raises(ValueError):
-            encode_f((-1,), 2)
 
 
 class TestBuildU:
@@ -216,18 +202,27 @@ class TestIdentities:
         assert len(diffset(U)) == 1 * 1 * 3 + 1 * 2 * 1 == 5
 
     def test_diffset_identity_needs_positive_B(self):
-        with pytest.raises(ValueError):
-            verify_diffset_identity(WParams(2, 2, 0))
+        # every check runs the one pass, which refuses B = 0 before enumerating
+        checks = [verify_sumset_identity, verify_diffset_identity, verify_injectivity, verify_triple]
+        for check in checks:
+            with pytest.raises(ValueError, match="B >= 1"):
+                check(WParams(2, 2, 0))
+
+    def test_pair_cap_checked_before_enumeration(self, monkeypatch):
+        # |W(10, 15, 3)| = 582,440 vectors, 3.39e11 pairs: refused with none built
+        def no_call(*args):
+            raise AssertionError("enumerated past the pair cap")
+
+        monkeypatch.setattr(construct, "enumerate_W", no_call)
+        with pytest.raises(EnumerationCapError) as exc:
+            verify_triple(WParams(10, 15, 3))
+        assert (exc.value.count, exc.value.cap) == (582_440**2, 10**7)
 
 
 class TestInjectivity:
     @pytest.mark.parametrize("m,L,B", [(2, 2, 1), (1, 3, 2), (3, 3, 2), (2, 4, 3)])
     def test_g(self, m, L, B):
         assert verify_injectivity(WParams(m, L, B), "g")
-
-    @pytest.mark.parametrize("m,L", [(2, 2), (1, 4), (3, 3)])
-    def test_f(self, m, L):
-        assert verify_injectivity(WParams(m, L, L), "f")
 
     def test_image_cardinalities_match_vector_oracle(self):
         # second oracle: sums/differences taken coordinate-wise on vectors
@@ -240,8 +235,9 @@ class TestInjectivity:
         assert len(diffset(U)) == len(vec_diffs)
 
     def test_rejects_unknown_encoding(self):
-        with pytest.raises(ValueError):
-            verify_injectivity(WParams(2, 2, 1), "h")
+        for encoding in ("h", "f"):  # "f", the radix map of V(m, L), is gone
+            with pytest.raises(ValueError, match="encoding"):
+                verify_injectivity(WParams(2, 2, 1), encoding)
 
 
 # equal-length integer tuples, of one dimension 0..3 per list
