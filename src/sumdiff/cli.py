@@ -1,23 +1,16 @@
-"""Command-line interface.
+"""Command-line interface: one JSON record on stdout (a CSV table for ``table1 --format csv``).
 
-Every invocation runs one subcommand and writes a single JSON record to
-stdout (or a CSV table for ``table1 --format csv``).  Progress and error
-messages go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
-
-Each subcommand imports only the submodule it runs, so a cold ``count``
-never loads ``ratefn``, ``optimize`` or ``construct``.  Every rate solve
-runs at the one fixed tolerance ``ratefn.DEFAULT_TOL``; no option sets it.
-The record's ``runtimeMillis`` times the subcommand alone: it leaves out
-interpreter start, imports and argument parsing.
+Progress and errors go to stderr; exit codes are 0 success, 1 verification
+failure, 2 usage error.  ``_COMMANDS`` declares every subcommand's runner and
+flags, and ``_parse`` and the help read it, so no command loads argparse.  Each
+runner imports only its own submodule: a cold ``count`` never loads ``ratefn``,
+``optimize`` or ``construct``.  ``runtimeMillis`` times the runner alone.
 """
-from __future__ import annotations
-
-import argparse
 import json
 import math
 import sys
 import time
+from types import SimpleNamespace
 
 SCHEMA_VERSION = "1"
 
@@ -190,79 +183,86 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _parse_b_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}") from None
+def _b_range(text: str) -> tuple[int, int]:
+    lo, hi = text.split("..")  # ValueError unless there is exactly one ".."
+    return int(lo), int(hi)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sumdiff",
-        description="Bounded simplex counting, digit-map set construction, and "
-        "the growth-exponent bound maximization.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_MLB = {"--m": (int, ...), "--L": (int, ...), "--B": (int, ...)}
+#: subcommand -> (runner, help, {flag: (type, default)}); the default ... marks a flag
+#: that must be given, a type in a list takes one or more values, and a tuple of strings
+#: lists the choices.  --eps-list None is optimize.TABLE_EPS, resolved in _cmd_table1 so
+#: that parsing loads no optimize.
+_COMMANDS = {
+    "count": (_cmd_count, "exact |W(m, L, B)|", _MLB),
+    "enumerate": (_cmd_enumerate, "list W(m, L, B) lexicographically", {**_MLB, "--cap": (int, None)}),
+    "rate": (_cmd_rate, "rate function I(c, B)", {"--c": (float, ...), "--B": (int, ...)}),
+    "bound": (_cmd_bound, "exponent bound of U = g(W) from exact counts", {**_MLB, "--cap": (int, None), "--dump-set": (str, None)}),
+    "verify": (_cmd_verify, "check the counting identities on a grid",
+               {"--max-m": (int, 4), "--max-L": (int, 5), "--max-B": (int, 3), "--cap": (int, None)}),
+    "optimize": (_cmd_optimize, "maximize the bound for one B", {"--B": (int, ...), "--eps": (float, ...)}),
+    "table1": (_cmd_table1, "the B x eps table of optima",
+               {"--eps-list": ([float], None), "--b-range": (_b_range, (3, 10)), "--format": (("json", "csv"), "json")}),
+}
 
-    def add_mlb(p):
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--L", type=int, required=True)
-        p.add_argument("--B", type=int, required=True)
 
-    p = sub.add_parser("count", help="exact |W(m, L, B)|")
-    add_mlb(p)
-    p.set_defaults(run=_cmd_count)
+def _metavar(kind) -> str:
+    if isinstance(kind, (list, tuple)):
+        return _metavar(kind[0]) + " [...]" if isinstance(kind, list) else "{" + ",".join(kind) + "}"
+    return {int: "INT", float: "X", str: "PATH", _b_range: "LO..HI"}[kind]
 
-    p = sub.add_parser("enumerate", help="list W(m, L, B) lexicographically")
-    add_mlb(p)
-    p.add_argument("--cap", type=int, default=None, help="enumeration size cap")
-    p.set_defaults(run=_cmd_enumerate)
 
-    p = sub.add_parser("rate", help="rate function I(c, B)")
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--B", type=int, required=True)
-    p.set_defaults(run=_cmd_rate)
+def _usage(name: str) -> str:
+    flags = _COMMANDS[name][2].items()
+    return " ".join(["sumdiff", name] + [f"{f} {_metavar(k)}" if d is ... else f"[{f} {_metavar(k)}]" for f, (k, d) in flags])
 
-    p = sub.add_parser("bound", help="exponent bound of U = g(W) from exact counts")
-    add_mlb(p)
-    p.add_argument("--cap", type=int, default=None, help="enumeration size cap for --dump-set")
-    p.add_argument("--dump-set", metavar="PATH", default=None,
-                   help="write U as newline-delimited decimal integers")
-    p.set_defaults(run=_cmd_bound)
 
-    p = sub.add_parser("verify", help="check the counting identities on a grid")
-    p.add_argument("--max-m", type=int, default=4)
-    p.add_argument("--max-L", type=int, default=5)
-    p.add_argument("--max-B", type=int, default=3)
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(run=_cmd_verify)
+def _exit(name: str | None, error: str = ""):
+    """Help on stdout and exit 0; with an error, the usage line and the error on stderr and exit 2."""
+    usage = "usage: " + (_usage(name) if name else "sumdiff COMMAND [--flag value ...]")
+    if error:
+        sys.stderr.write(f"{usage}\nsumdiff{' ' + name if name else ''}: error: {error}\n")
+        raise SystemExit(2)
+    helps = [f"  {_usage(cmd)}\n      {text}" for cmd, (_, text, _) in _COMMANDS.items()]
+    print(usage, "", *(helps if name is None else [_COMMANDS[name][1]]), sep="\n")
+    raise SystemExit(0)
 
-    p = sub.add_parser("optimize", help="maximize the bound for one B")
-    p.add_argument("--B", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(run=_cmd_optimize)
 
-    p = sub.add_parser("table1", help="the B x eps table of optima")
-    # None stands for optimize.TABLE_EPS, resolved in _cmd_table1 so that
-    # building the parser loads no optimize
-    p.add_argument("--eps-list", type=float, nargs="+", default=None)
-    p.add_argument("--b-range", type=_parse_b_range, default=(3, 10))
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(run=_cmd_table1)
-
-    return parser
+def _parse(argv: list[str]):
+    """(runner, args) for argv; a value never starts with "--", so a negative number is one."""
+    name = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        _exit(name if name in _COMMANDS else None)
+    if name not in _COMMANDS:
+        _exit(None, "a command is required" if name is None else f"invalid command: {name!r}")
+    run, _, flags = _COMMANDS[name]
+    given, i = {}, 1
+    while i < len(argv):  # --flag value, or --flag=value
+        flag, eq, text = argv[i].partition("=")
+        if flag not in flags:
+            _exit(name, f"unrecognized argument: {argv[i]}")
+        kind, j = flags[flag][0], i + 1
+        one = kind[0] if (many := isinstance(kind, list)) else kind
+        while not eq and j < len(argv) and not argv[j].startswith("--") and (many or j == i + 1):
+            j += 1
+        texts, i = ([text] if eq else argv[i + 1 : j]), j
+        try:  # tuple.index raises ValueError on a text outside the choices, values[0] IndexError on none
+            values = [one[one.index(t)] if isinstance(one, tuple) else one(t) for t in texts]
+            given[flag] = values if many and values else values[0]
+        except (IndexError, ValueError):
+            _exit(name, f"argument {flag}: expected {_metavar(kind)}, got {' '.join(texts)!r}")
+    if missing := [f for f, (_, d) in flags.items() if d is ... and f not in given]:
+        _exit(name, "the following flags are required: " + ", ".join(missing))
+    return run, SimpleNamespace(**{f[2:].replace("-", "_"): given.get(f, d) for f, (_, d) in flags.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
     # exact counts may run past the interpreter's default 4300-digit limit
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    run, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.run(args)
+        return run(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,8 +20,6 @@ It holds |W|^2 pairs to the cap before it enumerates anything, but forms only
 the pairs i <= j, since x + y = y + x and, over sorted items, x_j - x_i is
 the negation of x_i - x_j.
 """
-from __future__ import annotations
-
 import math
 from itertools import repeat
 from operator import add, sub
@@ -113,7 +111,8 @@ def _half_pairs(op, items) -> set:
     out = set()
     for i, x in enumerate(items):
         if isinstance(x, tuple):
-            out.update(tuple(map(op, x, y)) for y in items[i:])
+            # map(op, x, y) for each y, so no frame runs per pair
+            out.update(map(tuple, map(map, repeat(op), repeat(x), items[i:])))
         else:
             out.update(map(op, repeat(x), items[i:]))
     return out

@@ -9,8 +9,6 @@ past ``MAX_COUNT_WORK`` is refused before it starts.  Kept apart from
 cached bytecode compiles both, and its peak memory is the larger compile's,
 not their sum.
 """
-from __future__ import annotations
-
 import math
 
 

@@ -15,8 +15,6 @@ to its r-curvature the cross term's pull through da*/dr.  The rate solves all
 run at the one fixed tolerance ratefn.DEFAULT_TOL (1e-12), whatever eps is,
 so the eps columns of the result table measure only the 1-D searches.
 """
-from __future__ import annotations
-
 import math
 import warnings
 from typing import NamedTuple

@@ -14,8 +14,6 @@ c*m, hence the growth rate of the bounded simplex counts:
 
     log |W(m, floor(r*m), B)| / m  ->  log(B+1) - I(r, B).
 """
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -6,32 +6,37 @@ coordinate sum <= L; V(m, L) = W(m, L, L) is the unbounded special case with
 inclusion-exclusion over the coordinates that exceed B (``exactcount``); the
 finite-m growth rate is the logarithm of the same count.
 """
-from __future__ import annotations
-
 import math
 from typing import Iterator, NamedTuple
 
-from .exactcount import _count
+from .exactcount import MAX_COUNT_WORK, _count, _count_work, _log2_comb
 
 #: coordinate vector of a lattice point
 LatticeVector = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 10_000_000
 
+#: ``enumerate_W`` refuses past the cap on a lower bound of |W| alone once the
+#: exact count is estimated at more than this (about 0.1-0.25 s); below it the
+#: refusal names the exact count
+_EXACT_REFUSAL_WORK = MAX_COUNT_WORK // 100
+
 
 class EnumerationCapError(ValueError):
     """Raised when an enumeration would exceed the configured cap.
 
-    ``count`` is exact; the message gives a count of more than 64 bits by its
-    number of bits, since an exact count may be too long to print.
+    ``count`` is exact, or a lower bound when ``exact`` is false; the message
+    gives a count of more than 64 bits by its number of bits, since an exact
+    count may be too long to print.
     """
 
-    def __init__(self, count: int, cap: int, what: str = "vectors"):
+    def __init__(self, count: int, cap: int, what: str = "vectors", exact: bool = True):
         self.count = count
         self.cap = cap
+        self.exact = exact
         bits = count.bit_length()
         shown = str(count) if bits <= 64 else f"a {bits:,}-bit number of"
-        super().__init__(f"enumeration of {shown} {what} exceeds the cap of {cap}")
+        super().__init__(f"enumeration of {'' if exact else 'at least '}{shown} {what} exceeds the cap of {cap}")
 
 
 def enum_cap(cap: int | None = None) -> int:
@@ -100,13 +105,31 @@ def _vectors(m: int, L: int, B: int) -> Iterator[LatticeVector]:
             return
 
 
+def _log2_lower(p: WParams) -> float:
+    """A lower bound on log2 |W(m, L, B)| in O(1) float work.
+
+    W holds the cube {0, ..., t}^m with t = min(B, L // m), and for B >= 1
+    the 0/1 vectors with min(L, m // 2) ones.
+    """
+    m, L, B = p
+    if m == 0:
+        return 0.0
+    return max(m * math.log2(min(B, L // m) + 1), _log2_comb(m, min(L, m // 2)) if B else 0.0)
+
+
 def enumerate_W(p: WParams, cap: int | None = None) -> list[LatticeVector]:
     """All members of W(m, L, B) in lexicographic order.
 
-    The cap (default 10^7) is checked against the exact count before any
-    vector is built.
+    The cap (default 10^7) is checked before any vector is built: against
+    the exact count, or, when that count would cost more than
+    ``_EXACT_REFUSAL_WORK`` (but not past ``MAX_COUNT_WORK``, which
+    ``_count`` refuses as such), first against ``_log2_lower``.
     """
     cap = enum_cap(cap)
+    if _EXACT_REFUSAL_WORK < _count_work(*p) <= MAX_COUNT_WORK:
+        lower = 1 << max(0, math.floor(_log2_lower(p)) - 1)  # a bit of margin for the floats
+        if lower > cap:
+            raise EnumerationCapError(lower, cap, exact=False)
     n = _count(p.m, p.L, p.B)
     if n > cap:
         raise EnumerationCapError(n, cap)

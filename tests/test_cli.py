@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sumdiff
-from sumdiff import construct, exactcount, optimize, ratefn, wcount
+from sumdiff import cli, construct, exactcount, optimize, ratefn, wcount
 from sumdiff.cli import main
 from sumdiff.ratefn import MAX_B, RateResult
 from sumdiff.wcount import CountValue
@@ -230,6 +230,67 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("counts", "--m", "3"),
+        ("count", "--m", "3", "--L", "2", "--B", "5", "--x", "1"),
+        ("count", "--m", "3", "--L", "2", "--B", "5", "7"),
+        ("count", "--m", "3.5", "--L", "2", "--B", "5"),
+        ("count", "--m", "--L", "2", "--B", "5"),
+        ("verify", "--max", "3"),  # no prefix abbreviations
+        ("table1", "--b-range", "3-10"),
+        ("table1", "--format", "xml"),
+        ("table1", "--eps-list"),
+        ("table1", "--eps-list=1e-4", "1e-6"),
+    ],
+    ids=lambda argv: " ".join(argv) or "no command",
+)
+def test_usage_errors_print_usage_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: sumdiff ") and ": error: " in error
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS], ids=str)
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command_and_flag_exit_0(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag] if command is None else [command, "--m", "3", flag])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: sumdiff ")
+    for name, (_, text, flags) in cli._COMMANDS.items():
+        if command in (None, name):
+            assert text in out and all(f"{f} " in out for f in flags)
+
+
+def test_flag_equals_value(capsys):
+    _, spaced = run_json(capsys, "table1", "--b-range", "5..5", "--eps-list", "1e-4", "1e-6")
+    _, joined = run_json(capsys, "table1", "--b-range=5..5", "--eps-list", "1e-4", "1e-6")
+    assert joined["parameters"] == spaced["parameters"] == {"eps_list": [1e-4, 1e-6], "b_range": [5, 5]}
+    assert joined["results"] == spaced["results"]
+    code, record = run_json(capsys, "count", "--m=3", "--L", "2", "--B=5")
+    assert code == 0 and record["parameters"] == {"m": 3, "L": 2, "B": 5}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("rate", "--c", "-0.5", "--B", "3"), ("table1", "--b-range", "5..5", "--eps-list", "1e-4", "-1e-6")],
+    ids=lambda argv: " ".join(argv),
+)
+def test_negative_value_reaches_validation_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_invalid_value_exit_2(capsys):
     code, out, err = run(capsys, "count", "--m", "-3", "--L", "2", "--B", "5")
     assert code == 2
@@ -285,6 +346,18 @@ def test_count_refuses_past_work_limit_exit_2(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "units of work" in err
+
+
+def test_enumerate_refuses_far_past_cap_before_counting_exit_2(capsys, monkeypatch):
+    # |W(80000, 80000, 3)| >= 2^80000; counting it exactly took about 1.9 s
+    def no_call(*args):
+        raise AssertionError("counted exactly past the cap")
+
+    monkeypatch.setattr(wcount, "_count", no_call)
+    code, out, err = run(capsys, "enumerate", "--m", "80000", "--L", "80000", "--B", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds the cap of 10000000" in err
 
 
 def test_bound_refuses_past_q_digit_limit_exit_2(capsys, monkeypatch):
@@ -356,6 +429,17 @@ def test_import_cli_loads_no_dataclasses_or_inspect():
     ).split()
     assert "sumdiff.cli" in added
     assert "dataclasses" not in added and "inspect" not in added
+
+
+def test_cold_commands_load_no_argparse_gettext_locale_or_future():
+    loaded = _fresh(
+        "import io, sys; from contextlib import redirect_stderr, redirect_stdout; from sumdiff.cli import main\n"
+        "for argv in (['bound', '--m', '3', '--L', '4', '--B', '2'], ['count', '--m', '3', '--L', '2', '--B', '5'],\n"
+        "             ['verify', '--max-m', '2'], ['table1', '--b-range', '5..5', '--eps-list', '1e-4']):\n"
+        "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()): assert main(argv) == 0\n"
+        "print(*(m for m in ('argparse', 'gettext', 'locale', '__future__') if m in sys.modules))"
+    ).split()
+    assert loaded == []
 
 
 def test_count_loads_no_optimize_or_construct():

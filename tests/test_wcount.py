@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumdiff import exactcount
+from sumdiff import exactcount, wcount
 from sumdiff.ratefn import RateQuery, log_W_rate_limit
 from sumdiff.exactcount import MAX_COUNT_WORK
 from sumdiff.wcount import (
@@ -281,6 +281,13 @@ class TestEnumerateW:
             "enumeration of 18446744073709551615 vectors exceeds the cap of 5"
         )
         assert "a 65-bit number of pairs" in str(EnumerationCapError(2**64, 5, "pairs"))
+
+    def test_log2_lower_bounds_the_count(self):
+        for m in range(7):
+            for L in range(12):
+                for B in range(5):
+                    p = WParams(m, L, B)
+                    assert wcount._log2_lower(p) <= math.log2(count_W(p).exact) + 1e-12
 
     def test_cap_error_names_cap_and_count(self):
         with pytest.raises(EnumerationCapError) as exc:
