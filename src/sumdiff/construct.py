@@ -14,14 +14,14 @@ pair.  The brute-force path (``build_U``, ``sumset``, ``diffset``,
 ``theta_bound_exact``) is its oracle: it enumerates U and all |U|^2 pairs,
 held to the enumeration cap, which is checked before any pair is formed.
 ``verify_triple`` checks both identities and the injectivity of g at desk
-scale in one pass: it enumerates W once, encodes each vector once, and
-counts distinct sums and differences over the vectors and over their images.
-It holds |W|^2 pairs to the cap before it enumerates anything, but forms only
-the pairs i <= j, since x + y = y + x and, over sorted items, x_j - x_i is
-the negation of x_i - x_j.
+scale in one pass: it enumerates W once, encodes each vector once by g and
+once as packed bit fields, and counts distinct sums and differences over the
+packed vectors and over their images.  It holds |W|^2 pairs to the cap
+before it enumerates anything, but forms only the pairs i <= j, since
+x + y = y + x and, over sorted items, x_j - x_i is the negation of x_i - x_j.
 """
 import math
-from itertools import repeat
+from itertools import combinations_with_replacement, starmap
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
@@ -31,6 +31,7 @@ from .wcount import (
     EnumerationCapError,
     LatticeVector,
     WParams,
+    _check_cap,
     binomial,
     count_W,
     enum_cap,
@@ -107,15 +108,8 @@ def diffset(U: IntegerSet, cap: int | None = None) -> IntegerSet:
 
 
 def _half_pairs(op, items) -> set:
-    """{op(x_i, x_j) : i <= j} over a sequence, with op taken coordinate by coordinate on tuples."""
-    out = set()
-    for i, x in enumerate(items):
-        if isinstance(x, tuple):
-            # map(op, x, y) for each y, so no frame runs per pair
-            out.update(map(tuple, map(map, repeat(op), repeat(x), items[i:])))
-        else:
-            out.update(map(op, repeat(x), items[i:]))
-    return out
+    """{op(x_i, x_j) : i <= j} over a sequence of integers."""
+    return set(starmap(op, combinations_with_replacement(items, 2)))
 
 
 def _distinct_sums(items) -> int:
@@ -126,13 +120,31 @@ def _distinct_sums(items) -> int:
 def _distinct_diffs(items) -> int:
     """|{x - y : x, y in items}| from the pairs i <= j of the sorted items.
 
-    Sorted, every x_i - x_j with i <= j is <= 0 (lexicographically, for
-    tuples) and its negation is >= 0, so for the set A of those differences
-    the full set is the union of A and -A, which meet only in 0: 2|A| - 1
-    members, duplicates or not.  Empty items have none.
+    Sorted, every x_i - x_j with i <= j is <= 0 and its negation is >= 0, so
+    for the set A of those differences the full set is the union of A and
+    -A, which meet only in 0: 2|A| - 1 members, duplicates or not.  Empty
+    items have none.
     """
     items = sorted(items)
     return 2 * len(_half_pairs(sub, items)) - 1 if items else 0
+
+
+def _pack(vectors: list[LatticeVector], B: int) -> list[int]:
+    """Each vector as one integer, coordinate k in the bits [kw, kw + w), w = (2B).bit_length().
+
+    For coordinates in [0, B], each field of a packed sum lies in [0, 2B] <
+    2^w, and a packed difference plus the pack of (B, ..., B) has every field
+    in [0, 2B]: no field carries or borrows, so the packed sums (differences)
+    are distinct exactly when the vector sums (differences) are.
+    """
+    w = (2 * B).bit_length()
+    packed = []
+    for x in vectors:
+        value = 0
+        for coord in reversed(x):
+            value = value << w | coord
+        packed.append(value)
+    return packed
 
 
 def _report(n: int, d: int, s: int, q: int) -> BoundReport:
@@ -247,19 +259,21 @@ def verify_triple(p: WParams, cap: int | None = None) -> tuple[bool, bool, bool]
     U + U and U - U are counted over the images g(x) and compared with
     ``count_W(_doubled(p))`` and ``diff_count(p)``; g is injective on W+W and
     W-W exactly when those counts equal the ones over the vectors, whose sums
-    and differences are taken coordinate by coordinate.  B >= 1 and |W|^2 <=
-    cap are checked before anything is enumerated.
+    and differences are taken on their ``_pack``ed bit fields, a map apart
+    from g.  B >= 1 and |W|^2 <= cap are checked before anything is
+    enumerated.
     """
     if p.B < 1:
         raise ValueError("the difference-set convolution needs B >= 1")
-    _check_pairs(count_W(p).exact, cap)
+    _check_cap(p, cap, 2, "pairs")
     vectors = enumerate_W(p, cap)
     images = [encode_g(x, p.B) for x in vectors]
+    packed = _pack(vectors, p.B)
     sums, diffs = _distinct_sums(images), _distinct_diffs(images)
     return (
         sums == count_W(_doubled(p)).exact,
         diffs == diff_count(p).exact,
-        sums == _distinct_sums(vectors) and diffs == _distinct_diffs(vectors),
+        sums == _distinct_sums(packed) and diffs == _distinct_diffs(packed),
     )
 
 

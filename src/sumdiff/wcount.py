@@ -16,7 +16,7 @@ LatticeVector = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 10_000_000
 
-#: ``enumerate_W`` refuses past the cap on a lower bound of |W| alone once the
+#: ``_check_cap`` refuses past the cap on a lower bound of |W| alone once the
 #: exact count is estimated at more than this (about 0.1-0.25 s); below it the
 #: refusal names the exact count
 _EXACT_REFUSAL_WORK = MAX_COUNT_WORK // 100
@@ -117,22 +117,29 @@ def _log2_lower(p: WParams) -> float:
     return max(m * math.log2(min(B, L // m) + 1), _log2_comb(m, min(L, m // 2)) if B else 0.0)
 
 
-def enumerate_W(p: WParams, cap: int | None = None) -> list[LatticeVector]:
-    """All members of W(m, L, B) in lexicographic order.
+def _check_cap(p: WParams, cap: int | None, power: int = 1, what: str = "vectors") -> None:
+    """Refuse |W(m, L, B)|**power past the cap (default 10^7).
 
-    The cap (default 10^7) is checked before any vector is built: against
-    the exact count, or, when that count would cost more than
-    ``_EXACT_REFUSAL_WORK`` (but not past ``MAX_COUNT_WORK``, which
+    Checked against the exact count, or, when that count would cost more
+    than ``_EXACT_REFUSAL_WORK`` (but not past ``MAX_COUNT_WORK``, which
     ``_count`` refuses as such), first against ``_log2_lower``.
     """
     cap = enum_cap(cap)
     if _EXACT_REFUSAL_WORK < _count_work(*p) <= MAX_COUNT_WORK:
-        lower = 1 << max(0, math.floor(_log2_lower(p)) - 1)  # a bit of margin for the floats
+        lower = 1 << power * max(0, math.floor(_log2_lower(p)) - 1)  # a bit of margin for the floats
         if lower > cap:
-            raise EnumerationCapError(lower, cap, exact=False)
-    n = _count(p.m, p.L, p.B)
+            raise EnumerationCapError(lower, cap, what, exact=False)
+    n = _count(p.m, p.L, p.B) ** power
     if n > cap:
-        raise EnumerationCapError(n, cap)
+        raise EnumerationCapError(n, cap, what)
+
+
+def enumerate_W(p: WParams, cap: int | None = None) -> list[LatticeVector]:
+    """All members of W(m, L, B) in lexicographic order.
+
+    The cap is checked by ``_check_cap`` before any vector is built.
+    """
+    _check_cap(p, cap)
     return list(_vectors(p.m, p.L, p.B))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +9,7 @@ from sumdiff import construct, wcount
 from sumdiff.construct import (
     _distinct_diffs,
     _distinct_sums,
+    _pack,
     build_U,
     diffset,
     encode_g,
@@ -218,6 +220,27 @@ class TestIdentities:
             verify_triple(WParams(10, 15, 3))
         assert (exc.value.count, exc.value.cap) == (582_440**2, 10**7)
 
+    def test_pair_cap_refused_on_a_lower_bound(self, monkeypatch):
+        # |W(80000, 80000, 3)| is an exact count of over a second: refused without it
+        def no_call(*args):
+            raise AssertionError("counted exactly past the pair cap")
+
+        monkeypatch.setattr(wcount, "_count", no_call)
+        with pytest.raises(EnumerationCapError, match="at least a .* pairs") as exc:
+            verify_triple(WParams(80000, 80000, 3))
+        assert not exc.value.exact
+        assert exc.value.count > 10**7
+
+    def test_vector_pass_memory(self):
+        # one packed integer per pair sum and difference; sets of 200-tuples peaked at 34 MiB
+        tracemalloc.start()
+        try:
+            assert verify_triple(WParams(200, 1, 1)) == (True, True, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
 
 class TestInjectivity:
     @pytest.mark.parametrize("m,L,B", [(2, 2, 1), (1, 3, 2), (3, 3, 2), (2, 4, 3)])
@@ -240,9 +263,9 @@ class TestInjectivity:
                 verify_injectivity(WParams(2, 2, 1), encoding)
 
 
-# equal-length integer tuples, of one dimension 0..3 per list
-vector_lists = st.integers(0, 3).flatmap(
-    lambda k: st.lists(st.tuples(*[st.integers(-4, 4)] * k), max_size=30)
+# equal-length vectors of one dimension 0..3 per list, coordinates in [0, B], and B
+packable = st.tuples(st.integers(1, 5), st.integers(0, 3)).flatmap(
+    lambda bk: st.tuples(st.lists(st.tuples(*[st.integers(0, bk[0])] * bk[1]), max_size=30), st.just(bk[0]))
 )
 
 
@@ -264,14 +287,16 @@ class TestPairCounters:
         assert _distinct_diffs(items) == len(diffset(tuple(items)))
 
     @settings(max_examples=200, deadline=None)
-    @given(vector_lists)
+    @given(packable)
     # the vectors of test_image_cardinalities_match_vector_oracle
-    @example(enumerate_W(WParams(3, 3, 2)))
-    def test_vectors_match_full_pair_sets(self, items):
+    @example((enumerate_W(WParams(3, 3, 2)), 2))
+    def test_packed_vectors_match_full_pair_sets(self, case):
+        items, B = case
         sums = {tuple(a + b for a, b in zip(x, y)) for x in items for y in items}
         diffs = {tuple(a - b for a, b in zip(x, y)) for x in items for y in items}
-        assert _distinct_sums(items) == len(sums)
-        assert _distinct_diffs(items) == len(diffs)
+        packed = _pack(items, B)
+        assert _distinct_sums(packed) == len(sums)
+        assert _distinct_diffs(packed) == len(diffs)
 
     def test_checks_fail_on_a_colliding_map(self, monkeypatch):
         monkeypatch.setattr(construct, "encode_g", _colliding_g)
