@@ -15,9 +15,9 @@ pair.  The brute-force path (``build_U``, ``sumset``, ``diffset``,
 held to the enumeration cap, which is checked before any pair is formed.
 ``verify_triple`` checks both identities and the injectivity of g at desk
 scale in one pass: it enumerates W once, encodes each vector once by g and
-once as packed bit fields, and counts distinct sums and differences over the
-packed vectors and over their images.  It holds |W|^2 pairs to the cap
-before it enumerates anything, but forms only the pairs i <= j, since
+once packed in the base 2B + 3, and counts distinct sums and differences
+over the packed vectors and over their images.  It holds |W|^2 pairs to the
+cap before it enumerates anything, but forms only the pairs i <= j, since
 x + y = y + x and, over sorted items, x_j - x_i is the negation of x_i - x_j.
 """
 import math
@@ -57,6 +57,14 @@ class BoundReport(NamedTuple):
     theta: float  # 1 + (log d - log s)/log q
 
 
+def _horner(x: LatticeVector, base: int) -> int:
+    """sum_k x_k base^k, by Horner's rule from the top coordinate."""
+    value = 0
+    for coord in reversed(x):
+        value = value * base + coord
+    return value
+
+
 def encode_g(x: LatticeVector, B: int) -> int:
     """Base-(2B+1) positional value of x.
 
@@ -66,13 +74,10 @@ def encode_g(x: LatticeVector, B: int) -> int:
     """
     if not isinstance(B, int) or B < 1:
         raise ValueError(f"B must be a positive integer, got {B!r}")
-    base = 2 * B + 1
-    value = 0
-    for coord in reversed(x):
+    for coord in x:
         if not -2 * B <= coord <= 2 * B:
             raise ValueError(f"coordinate {coord} outside the injectivity window [-{2*B}, {2*B}]")
-        value = value * base + coord
-    return value
+    return _horner(x, 2 * B + 1)
 
 
 def build_U(p: WParams, cap: int | None = None) -> IntegerSet:
@@ -130,21 +135,17 @@ def _distinct_diffs(items) -> int:
 
 
 def _pack(vectors: list[LatticeVector], B: int) -> list[int]:
-    """Each vector as one integer, coordinate k in the bits [kw, kw + w), w = (2B).bit_length().
+    """Each vector as one integer in the odd base 2B + 3, apart from g's base 2B + 1.
 
-    For coordinates in [0, B], each field of a packed sum lies in [0, 2B] <
-    2^w, and a packed difference plus the pack of (B, ..., B) has every field
-    in [0, 2B]: no field carries or borrows, so the packed sums (differences)
-    are distinct exactly when the vector sums (differences) are.
+    For coordinates in [0, B], each digit of a packed sum lies in [0, 2B],
+    and a packed difference plus the pack of (B, ..., B) has every digit in
+    [0, 2B]: in any base >= 2B + 1 no digit carries or borrows, so the packed
+    sums (differences) are distinct exactly when the vector sums
+    (differences) are.  The base is odd because an int's hash is its value
+    mod 2^61 - 1, which folds the powers of a power of two onto 61 values.
     """
-    w = (2 * B).bit_length()
-    packed = []
-    for x in vectors:
-        value = 0
-        for coord in reversed(x):
-            value = value << w | coord
-        packed.append(value)
-    return packed
+    base = 2 * B + 3
+    return [_horner(x, base) for x in vectors]
 
 
 def _report(n: int, d: int, s: int, q: int) -> BoundReport:
@@ -259,9 +260,9 @@ def verify_triple(p: WParams, cap: int | None = None) -> tuple[bool, bool, bool]
     U + U and U - U are counted over the images g(x) and compared with
     ``count_W(_doubled(p))`` and ``diff_count(p)``; g is injective on W+W and
     W-W exactly when those counts equal the ones over the vectors, whose sums
-    and differences are taken on their ``_pack``ed bit fields, a map apart
-    from g.  B >= 1 and |W|^2 <= cap are checked before anything is
-    enumerated.
+    and differences are taken on their ``_pack``ed base-(2B+3) values, a
+    map apart from g.  B >= 1 and |W|^2 <= cap are checked before anything
+    is enumerated.
     """
     if p.B < 1:
         raise ValueError("the difference-set convolution needs B >= 1")

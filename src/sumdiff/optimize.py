@@ -19,7 +19,7 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .ratefn import MAX_B, _rate_value
+from .ratefn import _check_B, _rate_value
 
 #: tolerance columns of the reference table
 TABLE_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
@@ -57,14 +57,6 @@ class OptimizationReport(NamedTuple):
     evaluations: int
     r_slope: float
     r_curvature: float
-
-
-def _check_B(B) -> None:
-    if not isinstance(B, int) or isinstance(B, bool) or B < 1:
-        raise ValueError(f"B must be a positive integer, got {B!r}")
-    # the numerator solves I(2r, 2B)
-    if 2 * B > MAX_B:
-        raise ValueError(f"2B = {2 * B} exceeds the rate solve's limit of {MAX_B}")
 
 
 def _check_eps(eps) -> None:

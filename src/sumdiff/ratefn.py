@@ -5,10 +5,9 @@ Legendre transform sup_t (t*c - log((1 + e^t + ... + e^{Bt})/(B+1))),
 attained at the negative tilt t* where the tilted mean equals c.  t* is
 found by a safeguarded Newton iteration whose derivative is the tilted
 variance (d/dt tilted_mean = Var_t); B = 1 has a closed form.  The tilted
-law is a truncated geometric law, so each step takes its mean and variance
-in closed form, in O(1) for any B, and the log-MGF is taken once, at t*;
-within 1e-2 of t = 0, where that form cancels, the B + 1 terms are summed
-directly.  It governs
+law is a truncated geometric law, so each step takes its mean, variance and
+log-MGF in O(1) for any B: in closed form, or near t = 0, where that form
+cancels, from the Bernoulli series of coth.  It governs
 the exponential decay of the probability that m uniform draws sum to at most
 c*m, hence the growth rate of the bounded simplex counts:
 
@@ -24,18 +23,14 @@ DEFAULT_TOL = 1e-12
 #: hard cap on the steps of one rate solve
 _MAX_ITER = 100
 
-#: tilts with |t| below this are summed term by term: there the closed-form
-#: mean's error of about 2*2^-52/|t| is at most 4.4e-14, under a tenth of
-#: the solve's stop test DEFAULT_TOL*min(1, c), as c > 0.49 there
-_SUM_BELOW = 1e-2
-
-#: largest support bound B of a rate solve; a step within _SUM_BELOW of
-#: t = 0 still sums B + 1 terms, so B is checked before any solve starts
-MAX_B = 10_000
+#: B_2k/(2k)! for k = 1..7, the coefficients of h(x) = coth(x/2)/2 - 1/x =
+#: sum_k B_2k x^(2k-1)/(2k)! (Abramowitz & Stegun 4.5.67, radius 2*pi); at
+#: x < 1/4 the first omitted term is below 1e-18 of h, h' and k
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600)
 
 
 class RateQuery(NamedTuple("RateQuery", [("c", float), ("B", int)])):
-    """Target mean c and support bound B, with 0 <= B <= MAX_B.
+    """Target mean c and support bound B >= 0.
 
     B = 0 (single-point support, mean 0) is admitted so that callers can
     treat the inner rate term uniformly; every c >= 0 then sits on the zero
@@ -47,7 +42,6 @@ class RateQuery(NamedTuple("RateQuery", [("c", float), ("B", int)])):
     def __new__(cls, c: float, B: int):
         if not isinstance(B, int) or isinstance(B, bool) or B < 0:
             raise ValueError(f"B must be a nonnegative integer, got {B!r}")
-        _check_max_B(B)
         if not (c >= 0.0 and math.isfinite(c)):
             raise ValueError(f"c must be a nonnegative finite real, got {c!r}")
         return super().__new__(cls, c, B)
@@ -69,60 +63,62 @@ class RateResult(NamedTuple):
     residual: float
 
 
-def _moments(t: float, B: int) -> tuple[float, float]:
-    """(mean, variance) of the tilted distribution, in O(1) for |t| >= _SUM_BELOW.
+def _series(x: float) -> tuple[float, float, float]:
+    """(h(x), h'(x), k(x)) for 0 <= x < 1/4, by the Bernoulli series in _BERNOULLI.
+
+    h(x) = coth(x/2)/2 - 1/x and k(x) = log(sinh(x/2)/(x/2)), whose slope is h.
+    """
+    y = x * x
+    h = dh = k = 0.0
+    for i in range(len(_BERNOULLI) - 1, -1, -1):
+        c = _BERNOULLI[i]
+        h = h * y + c
+        dh = dh * y + (2 * i + 1) * c
+        k = k * y + c / (2 * i + 2)
+    return h * x, dh, k * y
+
+
+def _moments(t: float, B: int) -> tuple[float, float, float]:
+    """(mean, variance, log-MGF) of the tilted distribution, in O(1) for any B.
 
     Tilted by t = -u < 0, the uniform law on {0..B} is a truncated geometric
-    law.  With n = B + 1, x = e^-u and x^n = e^-nu:
+    law.  With n = B + 1, x = e^-u and x^n = e^-nu, for nu >= 1/4:
 
-        mean = x/(1-x) - n x^n/(1-x^n),    var = x/(1-x)^2 - n^2 x^n/(1-x^n)^2
+        mean = x/(1-x) - n x^n/(1-x^n),    var = x/(1-x)^2 - n^2 x^n/(1-x^n)^2,
+        log-MGF = log((1-x^n)/(n(1-x))),
 
     x and x^n come from exp and 1 - x, 1 - x^n from expm1, so each keeps its
-    relative precision at every u.  t > 0 follows by the symmetry j -> B - j:
-    the mean is B - mean(-t) and the variance is unchanged.  Near t = 0 the
-    two mean terms, each about 1/u, cancel to about B/2 with an absolute
-    error of about 2*2^-52/u, so below _SUM_BELOW the moments are summed
-    over j = 0..B directly instead, in O(B).
+    relative precision at every u.  Near t = 0 the two mean terms, each about
+    1/u, cancel to about B/2, so below nu = 1/4, where they cancel by at most
+    a factor of about 8, the same law is written with h and k of _series:
+
+        mean = B/2 + h(u) - n h(nu),    var = n^2 h'(nu) - h'(u),
+        log-MGF = k(nu) - k(u) - Bu/2.
+
+    The branch is on nu, not u, so the cancellation stays bounded at any B.
+    t > 0 follows by the symmetry j -> B - j: the mean is B - mean(-t), the
+    variance is unchanged and the log-MGF adds B*t.
     """
     u = abs(t)
-    n = B + 1
-    if u < _SUM_BELOW:
-        s0 = 0.0
-        s1 = 0.0
-        s2 = 0.0
-        for j in range(n):
-            e = math.exp(-j * u)
-            s0 += e
-            je = j * e
-            s1 += je
-            s2 += j * je
-        mean = s1 / s0
-        var = s2 / s0 - mean * mean
+    n = B + 1.0
+    nu = n * u
+    if nu < 0.25:
+        h, dh, k = _series(u)
+        hn, dhn, kn = _series(nu)
+        mean = 0.5 * B + h - n * hn
+        var = n * n * dhn - dh
+        lmgf = kn - k - 0.5 * B * u
     else:
         x = math.exp(-u)
-        xn = math.exp(-n * u)
+        xn = math.exp(-nu)
         a = -math.expm1(-u)
-        b = -math.expm1(-n * u)
+        b = -math.expm1(-nu)
         mean = x / a - n * xn / b
         var = x / (a * a) - n * n * xn / (b * b)
+        lmgf = math.log(b / (a * n))
     if t > 0.0:
-        return B - mean, var
-    return mean, var
-
-
-def _log_mgf(t: float, B: int) -> float:
-    """log of the mean of e^(j*t) over j = 0..B, in the closed form of _moments.
-
-    For t = -u < 0 it is log(expm1(-nu)/expm1(-u)) - log n, summed directly
-    below _SUM_BELOW; t > 0 adds B*t to the value at -t.
-    """
-    u = abs(t)
-    n = B + 1
-    if u < _SUM_BELOW:
-        lmgf = math.log(sum(math.exp(-j * u) for j in range(n)) / n)
-    else:
-        lmgf = math.log(math.expm1(-n * u) / math.expm1(-u)) - math.log(n)
-    return lmgf + B * t if t > 0.0 else lmgf
+        return B - mean, var, lmgf + B * t
+    return mean, var, lmgf
 
 
 def _rate_value(c: float, B: int) -> tuple[float, float, float, int, float]:
@@ -133,16 +129,18 @@ def _rate_value(c: float, B: int) -> tuple[float, float, float, int, float]:
     is on the zero branch for every c, and B == 1 has the closed form
     I(c, 1) = log 2 - H(c) at t* = log(c/(1-c)), where Var = c(1-c).
     Otherwise Newton's method runs on tilted_mean(t) - c, whose derivative
-    is the tilted variance, both from _moments in O(1) per step away from
-    t = 0, from the smaller of the small-tilt guess (c - B/2)*12/(B(B+2))
-    and the small-c guess log(c).  Every evaluation tightens a bracket
+    is the tilted variance, both from _moments in O(1) per step, from the
+    smaller of the small-tilt guess (c - B/2)*12/(B(B+2)) and the tilt
+    log(c/(1+c)) of the geometric law with mean c, the limit B -> inf.  Past
+    B(B+2) ~ 1.8e308, where the variance B(B+2)/12 at t = 0 overflows too,
+    that guess raises OverflowError.  Every evaluation tightens a bracket
     [t_lo, 0] around the root; a step that leaves it is replaced by
     bisection, or by doubling t while t_lo is still -inf.  The solve stops
     once |tilted_mean(t) - c| <= DEFAULT_TOL*min(1, c), which puts t within
     about DEFAULT_TOL of t* at every c > 0, or once the bracket admits no
-    new point, or after _MAX_ITER steps.  The log-MGF in the value t*c - log_mgf(t*) is
-    taken at the returned t* alone.  residual is |tilted_mean(t*) - c| at
-    the returned t*.
+    new point, or after _MAX_ITER steps.  The value t*c - log_mgf(t*) takes
+    the log-MGF of the last step, at the returned t*.  residual is
+    |tilted_mean(t*) - c| at the returned t*.
     """
     if B <= 0 or c >= 0.5 * B:
         return (0.0, 0.0, 0.0, 0, 0.0)
@@ -155,10 +153,10 @@ def _rate_value(c: float, B: int) -> tuple[float, float, float, int, float]:
     target = DEFAULT_TOL * min(1.0, c)
     t_lo = -math.inf
     t_hi = 0.0
-    t = min((c - 0.5 * B) * 12.0 / (B * (B + 2)), math.log(c))
+    t = min((c - 0.5 * B) * 12.0 / (B * (B + 2)), math.log(c / (1.0 + c)))
     iterations = 0
     while True:
-        mean, var = _moments(t, B)
+        mean, var, lmgf = _moments(t, B)
         resid = mean - c
         if abs(resid) <= target or iterations == _MAX_ITER:
             break
@@ -175,13 +173,13 @@ def _rate_value(c: float, B: int) -> tuple[float, float, float, int, float]:
         t = step
         iterations += 1
     curvature = 1.0 / var if var > 0.0 else math.inf
-    return (max(t * c - _log_mgf(t, B), 0.0), t, curvature, iterations, abs(resid))
+    return (max(t * c - lmgf, 0.0), t, curvature, iterations, abs(resid))
 
 
 def log_mgf(t: float, B: int) -> float:
     """log of the mean of e^(j*t) over j = 0..B, stable for any finite t."""
     _check_t_B(t, B)
-    return _log_mgf(t, B)
+    return _moments(t, B)[2]
 
 
 def tilted_mean(t: float, B: int) -> float:
@@ -211,14 +209,12 @@ def log_W_rate_limit(q: RateQuery) -> float:
     return math.log(q.B + 1) - rate_I(q).value
 
 
-def _check_max_B(B: int) -> None:
-    if B > MAX_B:
-        raise ValueError(f"B = {B} exceeds the rate solve's limit of {MAX_B}")
+def _check_B(B) -> None:
+    if not isinstance(B, int) or isinstance(B, bool) or B < 1:
+        raise ValueError(f"B must be a positive integer, got {B!r}")
 
 
 def _check_t_B(t: float, B: int):
-    if not isinstance(B, int) or isinstance(B, bool) or B < 1:
-        raise ValueError(f"B must be a positive integer, got {B!r}")
-    _check_max_B(B)
+    _check_B(B)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")

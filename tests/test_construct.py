@@ -298,6 +298,14 @@ class TestPairCounters:
         assert _distinct_sums(packed) == len(sums)
         assert _distinct_diffs(packed) == len(diffs)
 
+    def test_packed_sums_hash_apart(self):
+        # an int hashes to its value mod 2^61 - 1; in a power-of-two base the
+        # fields of W(100, 1, 1)'s pair sums fold onto 61 positions
+        packed = _pack(enumerate_W(WParams(100, 1, 1)), 1)
+        sums = {x + y for i, x in enumerate(packed) for y in packed[i:]}
+        assert len(sums) == 5151
+        assert len({hash(v) for v in sums}) == 5151
+
     def test_checks_fail_on_a_colliding_map(self, monkeypatch):
         monkeypatch.setattr(construct, "encode_g", _colliding_g)
         p = WParams(2, 2, 1)

@@ -13,7 +13,7 @@ from sumdiff.optimize import (
     table1,
     theta_objective,
 )
-from sumdiff.ratefn import DEFAULT_TOL, MAX_B, RateQuery, rate_I
+from sumdiff.ratefn import DEFAULT_TOL, RateQuery, rate_I
 
 # reference column at eps = 1e-10 (fourth column of the published table)
 REFERENCE_1E10 = {
@@ -237,16 +237,17 @@ class TestMaximizeR:
         with pytest.raises(ValueError):
             maximize_r(3, -1e-8)
 
-    def test_refuses_B_past_rate_limit(self):
-        # the numerator solves I(2r, 2B), so 2B is held to the rate solve's limit
-        B = MAX_B // 2 + 1
-        for call in (
-            lambda: maximize_r(B, 1e-4),
-            lambda: maximize_a(B, 1.0, 1e-4),
-            lambda: theta_objective(B, 1.0, 0.5),
-        ):
-            with pytest.raises(ValueError, match=str(MAX_B)):
-                call()
+    def test_large_B(self):
+        # every tilt costs O(1), so B = 5001, whose numerator solves I(2r, 2B)
+        # at 2B = 10,002, runs like B = 5; its r* sits on the bracket edge
+        B = 5001
+        with pytest.warns(UserWarning, match="edge"):
+            rep = maximize_r(B, 1e-4)
+        assert 0.0 < rep.theta_minus_1 < 1.0
+        assert rep.evaluations < optimize._NEWTON_MAXFUN
+        _, value = maximize_a(B, rep.r_star, 1e-4)
+        assert abs(value / math.log(2 * B + 1) - rep.theta_minus_1) <= 1e-6
+        assert math.isfinite(theta_objective(B, 1.0, 0.5).theta_minus_1)
 
 
 class TestTable1:
