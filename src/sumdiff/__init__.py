@@ -22,7 +22,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 #: the numeric kernel; no record carries it, but the benchmark harness
-#: (perfbench/run.py) still reads it, until ROADMAP item 5's perfbench change
+#: (perfbench/run.py) still reads it until ROADMAP item 7's perfbench change,
+#: after which item 10 deletes it
 BACKEND_NAME = "python"
 
 #: public name -> the submodule that defines it, imported on first access

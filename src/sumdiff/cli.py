@@ -47,10 +47,10 @@ def _cmd_enumerate(args) -> int:
     from . import wcount
 
     started = time.perf_counter()
-    vectors = wcount.enumerate_W(wcount.WParams(args.m, args.L, args.B), args.cap)
+    vectors = wcount.enumerate_W(wcount.WParams(args.m, args.L, args.B))
     _emit(
         "enumerate",
-        {"m": args.m, "L": args.L, "B": args.B, "cap": args.cap},
+        {"m": args.m, "L": args.L, "B": args.B},
         {"count": len(vectors), "vectors": [list(v) for v in vectors]},
         started,
     )
@@ -89,7 +89,7 @@ def _cmd_bound(args) -> int:
     p = wcount.WParams(args.m, args.L, args.B)
     report = construct.theta_bound(p)
     if args.dump_set is not None:
-        U = construct.build_U(p, args.cap)
+        U = construct.build_U(p)
         # the written set must be the one the counted record describes
         if len(U) != report.set_size.exact or 2 * max(U) + 1 != report.q:
             print(
@@ -103,7 +103,7 @@ def _cmd_bound(args) -> int:
         print(f"wrote {len(U)} elements to {args.dump_set}", file=sys.stderr)
     _emit(
         "bound",
-        {"m": args.m, "L": args.L, "B": args.B, "cap": args.cap},
+        {"m": args.m, "L": args.L, "B": args.B},
         {
             "set_size": report.set_size.exact,
             "d": report.d.exact,
@@ -130,7 +130,7 @@ def _cmd_verify(args) -> int:
     for m in range(args.max_m + 1):
         for L in range(args.max_L + 1):
             for B in range(1, args.max_B + 1):
-                s, d, g = construct.verify_triple(wcount.WParams(m, L, B), args.cap)
+                s, d, g = construct.verify_triple(wcount.WParams(m, L, B))
                 row = {"m": m, "L": L, "B": B, "sumset_identity": s, "diffset_identity": d, "injective_g": g}
                 all_pass = all_pass and s and d and g
                 checked.append(row)
@@ -195,11 +195,11 @@ _MLB = {"--m": (int, ...), "--L": (int, ...), "--B": (int, ...)}
 #: that parsing loads no optimize.
 _COMMANDS = {
     "count": (_cmd_count, "exact |W(m, L, B)|", _MLB),
-    "enumerate": (_cmd_enumerate, "list W(m, L, B) lexicographically", {**_MLB, "--cap": (int, None)}),
+    "enumerate": (_cmd_enumerate, "list W(m, L, B) lexicographically", _MLB),
     "rate": (_cmd_rate, "rate function I(c, B)", {"--c": (float, ...), "--B": (int, ...)}),
-    "bound": (_cmd_bound, "exponent bound of U = g(W) from exact counts", {**_MLB, "--cap": (int, None), "--dump-set": (str, None)}),
+    "bound": (_cmd_bound, "exponent bound of U = g(W) from exact counts", {**_MLB, "--dump-set": (str, None)}),
     "verify": (_cmd_verify, "check the counting identities on a grid",
-               {"--max-m": (int, 4), "--max-L": (int, 5), "--max-B": (int, 3), "--cap": (int, None)}),
+               {"--max-m": (int, 4), "--max-L": (int, 5), "--max-B": (int, 3)}),
     "optimize": (_cmd_optimize, "maximize the bound for one B", {"--B": (int, ...), "--eps": (float, ...)}),
     "table1": (_cmd_table1, "the B x eps table of optima",
                {"--eps-list": ([float], None), "--b-range": (_b_range, (3, 10)), "--format": (("json", "csv"), "json")}),

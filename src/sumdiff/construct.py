@@ -25,16 +25,15 @@ from itertools import combinations_with_replacement, starmap
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
-from .exactcount import MAX_COUNT_WORK, _count_work
+from .exactcount import MAX_COUNT_WORK, _count, _count_work
 from .wcount import (
     CountValue,
-    EnumerationCapError,
     LatticeVector,
     WParams,
     _check_cap,
-    binomial,
+    _refuse_past_cap,
+    _vectors,
     count_W,
-    enum_cap,
     enumerate_W,
 )
 
@@ -80,12 +79,12 @@ def encode_g(x: LatticeVector, B: int) -> int:
     return _horner(x, 2 * B + 1)
 
 
-def build_U(p: WParams, cap: int | None = None) -> IntegerSet:
+def build_U(p: WParams) -> IntegerSet:
     """U = g(W(m, L, B)), sorted ascending.
 
     |U| must equal |W(m, L, B)|, certifying injectivity of g on W itself.
     """
-    vectors = enumerate_W(p, cap)
+    vectors = enumerate_W(p)
     if p.m == 0 or p.B == 0:
         return (0,)
     U = tuple(sorted(encode_g(x, p.B) for x in vectors))
@@ -94,21 +93,15 @@ def build_U(p: WParams, cap: int | None = None) -> IntegerSet:
     return U
 
 
-def _check_pairs(n: int, cap: int | None) -> None:
-    cap = enum_cap(cap)
-    if n * n > cap:
-        raise EnumerationCapError(n * n, cap, "pairs")
-
-
-def sumset(U: IntegerSet, cap: int | None = None) -> IntegerSet:
+def sumset(U: IntegerSet) -> IntegerSet:
     """{u + v : u, v in U} over all pairs, deduplicated and sorted."""
-    _check_pairs(len(U), cap)
+    _refuse_past_cap(len(U) ** 2, "pairs")
     return tuple(sorted({u + v for u in U for v in U}))
 
 
-def diffset(U: IntegerSet, cap: int | None = None) -> IntegerSet:
+def diffset(U: IntegerSet) -> IntegerSet:
     """{u - v : u, v in U}; symmetric about 0."""
-    _check_pairs(len(U), cap)
+    _refuse_past_cap(len(U) ** 2, "pairs")
     return tuple(sorted({u - v for u in U for v in U}))
 
 
@@ -154,7 +147,7 @@ def _report(n: int, d: int, s: int, q: int) -> BoundReport:
     return BoundReport(CountValue.of(n), CountValue.of(d), CountValue.of(s), q, theta)
 
 
-def theta_bound_exact(U: IntegerSet, cap: int | None = None) -> BoundReport:
+def theta_bound_exact(U: IntegerSet) -> BoundReport:
     """Exponent bound 1 + log(|U-U|/|U+U|) / log(2*max(U)+1) for a concrete U."""
     if len(U) == 0:
         raise ValueError("U must be nonempty")
@@ -162,8 +155,8 @@ def theta_bound_exact(U: IntegerSet, cap: int | None = None) -> BoundReport:
         raise ValueError("U must contain zero")
     if max(U) < 1:
         raise ValueError("U = {0} has no meaningful scale (log q = 0)")
-    d = len(diffset(U, cap))
-    s = len(sumset(U, cap))
+    d = len(diffset(U))
+    s = len(sumset(U))
     return _report(len(U), d, s, 2 * max(U) + 1)
 
 
@@ -178,10 +171,7 @@ def diff_count(p: WParams) -> CountValue:
     """
     if p.B < 1:
         raise ValueError("the convolution formula needs B >= 1")
-    total = 0
-    for k, neg, rest in _convolution(p):
-        total += binomial(p.m, k).exact * count_W(neg).exact * count_W(rest).exact
-    return CountValue.of(total)
+    return CountValue.of(sum(math.comb(p.m, k) * _count(*neg) * _count(*rest) for k, neg, rest in _convolution(p)))
 
 
 def _convolution(p: WParams) -> Iterator[tuple[int, WParams, WParams]]:
@@ -254,20 +244,21 @@ def theta_bound(p: WParams) -> BoundReport:
     )
 
 
-def verify_triple(p: WParams, cap: int | None = None) -> tuple[bool, bool, bool]:
+def verify_triple(p: WParams) -> tuple[bool, bool, bool]:
     """Check (sumset identity, difference-set identity, injectivity of g) on p.
 
     U + U and U - U are counted over the images g(x) and compared with
     ``count_W(_doubled(p))`` and ``diff_count(p)``; g is injective on W+W and
     W-W exactly when those counts equal the ones over the vectors, whose sums
     and differences are taken on their ``_pack``ed base-(2B+3) values, a
-    map apart from g.  B >= 1 and |W|^2 <= cap are checked before anything
-    is enumerated.
+    map apart from g.  B >= 1 and |W|^2 <= ``ENUM_CAP`` are checked before
+    anything is enumerated; that also bounds |W|, so W is enumerated with no
+    second check.
     """
     if p.B < 1:
         raise ValueError("the difference-set convolution needs B >= 1")
-    _check_cap(p, cap, 2, "pairs")
-    vectors = enumerate_W(p, cap)
+    _check_cap(p, 2, "pairs")
+    vectors = list(_vectors(*p))
     images = [encode_g(x, p.B) for x in vectors]
     packed = _pack(vectors, p.B)
     sums, diffs = _distinct_sums(images), _distinct_diffs(images)
@@ -278,18 +269,18 @@ def verify_triple(p: WParams, cap: int | None = None) -> tuple[bool, bool, bool]
     )
 
 
-def verify_sumset_identity(p: WParams, cap: int | None = None) -> bool:
+def verify_sumset_identity(p: WParams) -> bool:
     """|U+U| = |W(m, 2L, 2B)|: the first check of ``verify_triple``."""
-    return verify_triple(p, cap)[0]
+    return verify_triple(p)[0]
 
 
-def verify_diffset_identity(p: WParams, cap: int | None = None) -> bool:
+def verify_diffset_identity(p: WParams) -> bool:
     """|U-U| = ``diff_count(p)``: the second check of ``verify_triple``."""
-    return verify_triple(p, cap)[1]
+    return verify_triple(p)[1]
 
 
-def verify_injectivity(p: WParams, encoding: str = "g", cap: int | None = None) -> bool:
+def verify_injectivity(p: WParams, encoding: str = "g") -> bool:
     """g injective on W+W and W-W: the third check of ``verify_triple``; g is the only encoding."""
     if encoding != "g":
         raise ValueError(f"encoding must be 'g', got {encoding!r}")
-    return verify_triple(p, cap)[2]
+    return verify_triple(p)[2]

@@ -14,7 +14,9 @@ from .exactcount import MAX_COUNT_WORK, _count, _count_work, _log2_comb
 #: coordinate vector of a lattice point
 LatticeVector = tuple[int, ...]
 
-DEFAULT_ENUM_CAP = 10_000_000
+#: the most vectors, or pairs, that any enumeration builds; read at call time
+#: in this module alone, so a test patches this one name
+ENUM_CAP = 10_000_000
 
 #: ``_check_cap`` refuses past the cap on a lower bound of |W| alone once the
 #: exact count is estimated at more than this (about 0.1-0.25 s); below it the
@@ -23,25 +25,20 @@ _EXACT_REFUSAL_WORK = MAX_COUNT_WORK // 100
 
 
 class EnumerationCapError(ValueError):
-    """Raised when an enumeration would exceed the configured cap.
+    """Raised when an enumeration would exceed ``ENUM_CAP``.
 
-    ``count`` is exact, or a lower bound when ``exact`` is false; the message
+    ``cap`` is ``ENUM_CAP`` as it stood when raised.  ``count`` is exact, or a lower bound when ``exact`` is false; the message
     gives a count of more than 64 bits by its number of bits, since an exact
     count may be too long to print.
     """
 
-    def __init__(self, count: int, cap: int, what: str = "vectors", exact: bool = True):
+    def __init__(self, count: int, what: str = "vectors", exact: bool = True):
         self.count = count
-        self.cap = cap
+        self.cap = ENUM_CAP
         self.exact = exact
         bits = count.bit_length()
         shown = str(count) if bits <= 64 else f"a {bits:,}-bit number of"
-        super().__init__(f"enumeration of {'' if exact else 'at least '}{shown} {what} exceeds the cap of {cap}")
-
-
-def enum_cap(cap: int | None = None) -> int:
-    """The given cap, else the default of 10^7."""
-    return DEFAULT_ENUM_CAP if cap is None else cap
+        super().__init__(f"enumeration of {'' if exact else 'at least '}{shown} {what} exceeds the cap of {self.cap}")
 
 
 class WParams(NamedTuple("WParams", [("m", int), ("L", int), ("B", int)])):
@@ -117,29 +114,31 @@ def _log2_lower(p: WParams) -> float:
     return max(m * math.log2(min(B, L // m) + 1), _log2_comb(m, min(L, m // 2)) if B else 0.0)
 
 
-def _check_cap(p: WParams, cap: int | None, power: int = 1, what: str = "vectors") -> None:
-    """Refuse |W(m, L, B)|**power past the cap (default 10^7).
+def _refuse_past_cap(n: int, what: str, exact: bool = True) -> None:
+    """Raise ``EnumerationCapError`` when n (or, not exact, at least n) exceeds ``ENUM_CAP``."""
+    if n > ENUM_CAP:
+        raise EnumerationCapError(n, what, exact)
+
+
+def _check_cap(p: WParams, power: int = 1, what: str = "vectors") -> None:
+    """Refuse |W(m, L, B)|**power past ``ENUM_CAP``.
 
     Checked against the exact count, or, when that count would cost more
     than ``_EXACT_REFUSAL_WORK`` (but not past ``MAX_COUNT_WORK``, which
     ``_count`` refuses as such), first against ``_log2_lower``.
     """
-    cap = enum_cap(cap)
     if _EXACT_REFUSAL_WORK < _count_work(*p) <= MAX_COUNT_WORK:
-        lower = 1 << power * max(0, math.floor(_log2_lower(p)) - 1)  # a bit of margin for the floats
-        if lower > cap:
-            raise EnumerationCapError(lower, cap, what, exact=False)
-    n = _count(p.m, p.L, p.B) ** power
-    if n > cap:
-        raise EnumerationCapError(n, cap, what)
+        # a bit of margin for the floats
+        _refuse_past_cap(1 << power * max(0, math.floor(_log2_lower(p)) - 1), what, exact=False)
+    _refuse_past_cap(_count(p.m, p.L, p.B) ** power, what)
 
 
-def enumerate_W(p: WParams, cap: int | None = None) -> list[LatticeVector]:
+def enumerate_W(p: WParams) -> list[LatticeVector]:
     """All members of W(m, L, B) in lexicographic order.
 
-    The cap is checked by ``_check_cap`` before any vector is built.
+    ``ENUM_CAP`` is checked by ``_check_cap`` before any vector is built.
     """
-    _check_cap(p, cap)
+    _check_cap(p)
     return list(_vectors(p.m, p.L, p.B))
 
 

@@ -24,6 +24,8 @@ from sumdiff import (
 )
 from sumdiff.ratefn import DEFAULT_TOL
 
+# the eps = 1e-10 column of the published table (its fourth column), also
+# imported by test_optimize.py
 TABLE_COLUMN_1E10 = {
     3: 0.168700179627163,
     4: 0.172137890014121,

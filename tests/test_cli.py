@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import math
@@ -59,6 +60,7 @@ def test_rate_c_zero_sentinel(capsys):
 def test_enumerate(capsys):
     code, record = run_json(capsys, "enumerate", "--m", "2", "--L", "1", "--B", "1")
     assert code == 0
+    assert record["parameters"] == {"m": 2, "L": 1, "B": 1}
     assert record["results"]["vectors"] == [[0, 0], [0, 1], [1, 0]]
 
 
@@ -109,21 +111,24 @@ def test_verify_fails_exit_1(capsys, monkeypatch):
     assert failed == {(2, 1, 1): [False] * 3, (2, 2, 1): [False] * 3}
 
 
-def test_verify_cap_exit_2(capsys):
+def test_verify_cap_exit_2(capsys, monkeypatch):
     # W(2, 1, 1) has 3 vectors, so 9 pairs
-    code, out, err = run(capsys, "verify", "--max-m", "2", "--max-L", "1", "--max-B", "1", "--cap", "8")
+    monkeypatch.setattr(wcount, "ENUM_CAP", 8)
+    code, out, err = run(capsys, "verify", "--max-m", "2", "--max-L", "1", "--max-B", "1")
     assert code == 2
     assert out == ""
     assert "9 pairs exceeds the cap of 8" in err
 
 
 def test_verify_enumerates_once_per_triple(capsys, monkeypatch):
-    calls = []
-    enumerate_W = construct.enumerate_W
-    monkeypatch.setattr(construct, "enumerate_W", lambda *a: calls.append(a) or enumerate_W(*a))
+    calls, checks = [], []
+    vectors, check_cap = construct._vectors, construct._check_cap
+    monkeypatch.setattr(construct, "_vectors", lambda *a: calls.append(a) or vectors(*a))
+    monkeypatch.setattr(construct, "_check_cap", lambda *a: checks.append(a) or check_cap(*a))
     code, _ = run_json(capsys, "verify", "--max-m", "2", "--max-L", "2", "--max-B", "2")
     assert code == 0
-    assert len(calls) == len({args[0] for args in calls}) == 3 * 3 * 2
+    assert len(calls) == len(set(calls)) == 3 * 3 * 2
+    assert len(checks) == len({args[0] for args in checks}) == 3 * 3 * 2
 
 
 @pytest.mark.parametrize(
@@ -309,8 +314,9 @@ def test_invalid_value_exit_2(capsys):
     assert "error" in err
 
 
-def test_cap_exceeded_exit_2(capsys):
-    code, _, err = run(capsys, "enumerate", "--m", "9", "--L", "20", "--B", "3", "--cap", "10")
+def test_cap_exceeded_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(wcount, "ENUM_CAP", 10)
+    code, _, err = run(capsys, "enumerate", "--m", "9", "--L", "20", "--B", "3")
     assert code == 2
     assert "cap" in err
 
@@ -385,10 +391,12 @@ def test_bound_refuses_past_q_digit_limit_exit_2(capsys, monkeypatch):
     assert str(construct.MAX_Q_DIGITS) in err
 
 
-def test_bound_cap_applies_only_to_dump_set(capsys, tmp_path):
-    argv = ("bound", "--m", "9", "--L", "20", "--B", "3", "--cap", "10")
+def test_bound_cap_applies_only_to_dump_set(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(wcount, "ENUM_CAP", 10)
+    argv = ("bound", "--m", "9", "--L", "20", "--B", "3")
     code, record = run_json(capsys, *argv)
     assert code == 0
+    assert record["parameters"] == {"m": 9, "L": 20, "B": 3}
     assert record["results"]["set_size"] > 10
     code, out, err = run(capsys, *argv, "--dump-set", str(tmp_path / "u.txt"))
     assert code == 2
@@ -480,6 +488,27 @@ def test_every_public_and_submodule_name_resolves():
     assert sumdiff.log_count_rate is wcount.log_count_rate
     with pytest.raises(AttributeError):
         sumdiff.no_such_name
+
+
+def test_no_public_callable_takes_a_cap():
+    # the enumeration cap is the one constant wcount.ENUM_CAP
+    for name in sumdiff.__all__:
+        obj = getattr(sumdiff, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            assert "cap" not in inspect.signature(obj).parameters, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--m", "2", "--L", "1", "--B", "1"), ("bound", "--m", "2", "--L", "1", "--B", "1"), ("verify",)],
+    ids=lambda argv: argv[0],
+)
+def test_cap_flag_is_unrecognized_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cap", "10"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized argument: --cap" in err
 
 
 def test_import_cli_leaves_numpy_unloaded():

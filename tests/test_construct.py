@@ -106,19 +106,22 @@ class TestThetaBound:
         assert rep.s.exact == len({u + v for u in U for v in U})
         assert rep.theta == 1.0 + (math.log(rep.d.exact) - math.log(rep.s.exact)) / math.log(9)
 
-    def test_pair_cap_checked_before_pairing(self):
+    def test_pair_cap_checked_before_pairing(self, monkeypatch):
         # 3163^2 = 10,004,569 pairs, just past the default cap of 10^7
         with pytest.raises(EnumerationCapError) as exc:
             theta_bound_exact(tuple(range(3163)))
         assert (exc.value.count, exc.value.cap) == (3163**2, 10**7)
         assert "pairs" in str(exc.value)
+        monkeypatch.setattr(wcount, "ENUM_CAP", 8)
         with pytest.raises(EnumerationCapError):
-            sumset((0, 1, 3), cap=8)
+            sumset((0, 1, 3))
         with pytest.raises(EnumerationCapError):
-            diffset((0, 1, 3), cap=8)
-        assert len(sumset((0, 1, 3), cap=9)) == 6
+            diffset((0, 1, 3))
         with pytest.raises(EnumerationCapError):
-            verify_injectivity(WParams(2, 1, 1), "g", cap=8)  # 3 vectors, 9 pairs
+            verify_injectivity(WParams(2, 1, 1), "g")  # 3 vectors, 9 pairs
+        monkeypatch.setattr(wcount, "ENUM_CAP", 9)
+        assert len(sumset((0, 1, 3))) == 6
+        assert len(diffset((0, 1, 3))) == 7
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -176,6 +179,7 @@ class TestWorkLimit:
             raise AssertionError("counted past the work limit")
 
         monkeypatch.setattr(wcount, "_count", no_call)
+        monkeypatch.setattr(construct, "_count", no_call)
         monkeypatch.setattr(construct, "max_U", no_call)
         with pytest.raises(ValueError, match="units of work"):
             theta_bound(p)
@@ -215,7 +219,7 @@ class TestIdentities:
         def no_call(*args):
             raise AssertionError("enumerated past the pair cap")
 
-        monkeypatch.setattr(construct, "enumerate_W", no_call)
+        monkeypatch.setattr(construct, "_vectors", no_call)
         with pytest.raises(EnumerationCapError) as exc:
             verify_triple(WParams(10, 15, 3))
         assert (exc.value.count, exc.value.cap) == (582_440**2, 10**7)

@@ -15,17 +15,7 @@ from sumdiff.optimize import (
 )
 from sumdiff.ratefn import DEFAULT_TOL, RateQuery, rate_I
 
-# reference column at eps = 1e-10 (fourth column of the published table)
-REFERENCE_1E10 = {
-    3: 0.168700179627163,
-    4: 0.172137890014121,
-    5: 0.173077279785136,
-    6: 0.172855932676998,
-    7: 0.172060243360376,
-    8: 0.170975345189401,
-    9: 0.169749936705623,
-    10: 0.168465310634737,
-}
+from test_acceptance import TABLE_COLUMN_1E10
 
 
 class TestThetaObjective:
@@ -259,7 +249,7 @@ class TestTable1:
         for row in fine_columns:
             cell = row[1]
             assert cell.epsilon == 1e-10
-            assert abs(cell.theta_minus_1 - REFERENCE_1E10[cell.B]) < 1e-8
+            assert abs(cell.theta_minus_1 - TABLE_COLUMN_1E10[cell.B]) < 1e-8
 
     def test_argmax_is_B5_and_headline_bound(self, fine_columns):
         best = max((row[1] for row in fine_columns), key=lambda c: c.theta_minus_1)

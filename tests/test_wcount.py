@@ -267,7 +267,7 @@ class TestEnumerateW:
             assert len(vs) == len(set(vs)) == count_W(WParams(m, L, B)).exact
             assert all(len(v) == m and sum(v) <= L and max(v, default=0) <= B for v in vs)
 
-    def test_cap_error_gives_a_long_count_by_its_bits(self):
+    def test_cap_error_gives_a_long_count_by_its_bits(self, monkeypatch):
         # |W(9000, 9000, 3)| has 5,017 digits, past the 4,300 that str() converts
         # by default
         with pytest.raises(EnumerationCapError) as exc:
@@ -277,10 +277,11 @@ class TestEnumerateW:
         assert str(exc.value) == (
             "enumeration of a 16,665-bit number of vectors exceeds the cap of 10000000"
         )
-        assert str(EnumerationCapError(2**64 - 1, 5)) == (
+        monkeypatch.setattr(wcount, "ENUM_CAP", 5)
+        assert str(EnumerationCapError(2**64 - 1)) == (
             "enumeration of 18446744073709551615 vectors exceeds the cap of 5"
         )
-        assert "a 65-bit number of pairs" in str(EnumerationCapError(2**64, 5, "pairs"))
+        assert "a 65-bit number of pairs" in str(EnumerationCapError(2**64, "pairs"))
 
     def test_log2_lower_bounds_the_count(self):
         for m in range(7):
@@ -289,9 +290,10 @@ class TestEnumerateW:
                     p = WParams(m, L, B)
                     assert wcount._log2_lower(p) <= math.log2(count_W(p).exact) + 1e-12
 
-    def test_cap_error_names_cap_and_count(self):
+    def test_cap_error_names_cap_and_count(self, monkeypatch):
+        monkeypatch.setattr(wcount, "ENUM_CAP", 100)
         with pytest.raises(EnumerationCapError) as exc:
-            enumerate_W(WParams(10, 20, 3), cap=100)
+            enumerate_W(WParams(10, 20, 3))
         assert exc.value.cap == 100
         assert exc.value.count == count_W(WParams(10, 20, 3)).exact
         assert "100" in str(exc.value)
