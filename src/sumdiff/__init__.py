@@ -1,19 +1,19 @@
 """Sumset vs difference-set growth: counting, construction, and the exponent bound.
 
-Subpackages by role:
-    wcount    exact counting (inclusion-exclusion) and enumeration of the
-              bounded simplex sets W(m, L, B)
-    construct digit-map integer sets, their counted exponent bound, and the
-              brute-force sumsets/difference sets that check it
-    ratefn    large-deviation rate function I(c, B) via its convex dual
-    optimize  nested maximization of the exponent bound over (a, r, B)
-    cli       command-line entry point
+Modules by role:
+    wcount     counting and enumeration of the bounded simplex sets W(m, L, B)
+    exactcount the inclusion-exclusion count under wcount and its work bound
+    construct  digit-map integer sets, their counted exponent bound, and the
+               brute-force sumsets/difference sets that check it
+    ratefn     large-deviation rate function I(c, B) via its convex dual
+    optimize   nested maximization of the exponent bound over (a, r, B)
+    cli        command-line entry point
 
 Each submodule loads on first use: ``from sumdiff import log_count_rate``
-loads ``wcount`` alone.  The result records (``WParams``, ``CountValue``,
-``BoundReport``, ``ThetaPoint``, ``OptimizationReport``, ``RateQuery``,
-``RateResult``) are immutable NamedTuples; ``._asdict()`` gives their fields
-as a dict.
+loads ``wcount`` and the ``exactcount`` it uses.  The result records
+(``WParams``, ``CountValue``, ``BoundReport``, ``ThetaPoint``,
+``OptimizationReport``, ``RateQuery``, ``RateResult``) are immutable
+NamedTuples; ``._asdict()`` gives their fields as a dict.
 
 Everything is pure Python, with no runtime dependencies.
 """
@@ -58,7 +58,6 @@ _HOME = {
     "EnumerationCapError": "wcount",
     "LatticeVector": "wcount",
     "WParams": "wcount",
-    "binomial": "wcount",
     "count_W": "wcount",
     "enumerate_W": "wcount",
     "log_count_rate": "wcount",

@@ -13,7 +13,10 @@ outer search is the same Newton loop on the inner maximum V(r): by the
 envelope theorem V'(r) is the numerator's r-slope at a*(r), and V''(r) adds
 to its r-curvature the cross term's pull through da*/dr.  The rate solves all
 run at the one fixed tolerance ratefn.DEFAULT_TOL (1e-12), whatever eps is,
-so the eps columns of the result table measure only the 1-D searches.
+so the eps columns of the result table measure only the 1-D searches.  The
+table chains its columns: each row's first cell searches from r = _R_START,
+and each later cell from the optimum of the cell before it, so a cell's
+evaluations count only the steps that refine that optimum to its own eps.
 """
 import math
 import warnings
@@ -196,20 +199,17 @@ def maximize_a(B: int, r: float, eps: float) -> tuple[float, float]:
     return a_star, value
 
 
-def maximize_r(B: int, eps: float) -> OptimizationReport:
-    """Maximize over r in [0.5, 2] of the inner a-maximum V(r) at tolerance eps.
+def _search_r(B: int, eps: float, r0: float, a0: float | None) -> OptimizationReport:
+    """The outer r-search of maximize_r, started at r0 with its first inner search at a0.
 
-    The outer search is the inner search's safeguarded Newton loop, run on
-    V'(r) and V''(r) from r = _R_START.  Each inner search starts at
-    the a* of the r searched before it, moved along its tangent da*/dr.
-    evaluations counts the objective evaluations of every inner search; r*
-    is one of the points the outer search evaluated, so its inner result is
-    kept, not searched again.
+    a0 = None starts that inner search at its bracket's midpoint.  Each later
+    inner search starts at the a* of the r searched before it, moved along
+    its tangent da*/dr.  evaluations counts the objective evaluations of
+    every inner search; r* is one of the points the outer search evaluated,
+    so its inner result is kept, not searched again.
     """
-    _check_B(B)
-    _check_eps(eps)
     evaluations = 0
-    last = None
+    last = None if a0 is None else (r0, a0, 0.0)
 
     def outer(r):
         nonlocal evaluations, last
@@ -219,14 +219,27 @@ def maximize_r(B: int, eps: float) -> OptimizationReport:
         last = (r, y[3], y[4])
         return y
 
-    r_star, (value, slope, curvature, a_star, _, _), _ = _newton_max(outer, _R_START, 0.5, 2.0, eps)
+    r_star, (value, slope, curvature, a_star, _, _), _ = _newton_max(outer, r0, 0.5, 2.0, eps)
     margin = 10.0 * max(eps, 1e-8)
     if r_star - 0.5 < margin or 2.0 - r_star < margin:
-        warnings.warn(f"r* = {r_star} sits at the edge of [0.5, 2] for B={B}", stacklevel=2)
+        # stacklevel 3: the caller of maximize_r or table1
+        warnings.warn(f"r* = {r_star} sits at the edge of [0.5, 2] for B={B}", stacklevel=3)
     log_q = math.log(2 * B + 1)
     return OptimizationReport(
         B, eps, r_star, a_star, value / log_q, evaluations, slope / log_q, curvature / log_q
     )
+
+
+def maximize_r(B: int, eps: float) -> OptimizationReport:
+    """Maximize over r in [0.5, 2] of the inner a-maximum V(r) at tolerance eps.
+
+    The outer search is the inner search's safeguarded Newton loop, run on
+    V'(r) and V''(r) from r = _R_START, with the first inner search started
+    at its bracket's midpoint (see _search_r).
+    """
+    _check_B(B)
+    _check_eps(eps)
+    return _search_r(B, eps, _R_START, None)
 
 
 def table1(
@@ -237,6 +250,10 @@ def table1(
 
     Rows are B = b_range[0]..b_range[1] (within 1..10), columns follow
     eps_list; evaluation order is row-major and the output is deterministic.
+    The columns of a row are chained: the first cell is maximize_r(B, eps),
+    and each later cell's r-search starts from the previous cell's
+    (r_star, a_star), an optimum to the previous column's eps.  Each cell's
+    evaluations counts its own search only.
     """
     if len(eps_list) == 0:
         raise ValueError("eps_list must be nonempty")
@@ -245,4 +262,13 @@ def table1(
         raise ValueError(f"b_range must satisfy 1 <= lo <= hi <= 10, got {b_range!r}")
     for eps in eps_list:
         _check_eps(eps)
-    return [[maximize_r(B, eps) for eps in eps_list] for B in range(lo, hi + 1)]
+    rows = []
+    for B in range(lo, hi + 1):
+        row = []
+        r, a = _R_START, None
+        for eps in eps_list:
+            cell = _search_r(B, eps, r, a)
+            r, a = cell.r_star, cell.a_star
+            row.append(cell)
+        rows.append(row)
+    return rows

@@ -73,13 +73,6 @@ def count_W(p: WParams) -> CountValue:
     return CountValue.of(_count(p.m, p.L, p.B))
 
 
-def binomial(m: int, k: int) -> CountValue:
-    """Exact binomial coefficient C(m, k); zero for k > m."""
-    if k > m:
-        return CountValue.of(0)
-    return CountValue.of(math.comb(m, k))
-
-
 def _vectors(m: int, L: int, B: int) -> Iterator[LatticeVector]:
     # lexicographic odometer: bump the rightmost coordinate that stays
     # within both bounds, zero everything after it

@@ -12,7 +12,6 @@ import pytest
 from sumdiff import (
     RateQuery,
     WParams,
-    binomial,
     count_W,
     log_count_rate,
     log_W_rate_limit,
@@ -176,7 +175,7 @@ def test_criterion_8_counting_invariant_sweep():
         if B >= L and n != math.comb(m + L, m):
             failures.append(("unbounded", m, L, B))
         k = min(L, m)
-        if B >= 1 and sum(binomial(m, j).exact for j in range(k + 1)) != count_W(
+        if B >= 1 and sum(math.comb(m, j) for j in range(k + 1)) != count_W(
             WParams(m, k, 1)
         ).exact:
             failures.append(("binomial-prefix", m, k))

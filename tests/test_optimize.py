@@ -268,7 +268,17 @@ class TestTable1:
 
     def test_default_table_evaluations(self):
         # a guard on the search cost that needs no timing
-        assert sum(cell.evaluations for row in table1() for cell in row) <= 700
+        assert sum(cell.evaluations for row in table1() for cell in row) <= 250
+
+    def test_chained_columns_match_cold_searches(self):
+        # each later column starts from the previous column's optimum: that
+        # start must not carry a cell away from its own cold search
+        for row in table1():
+            assert row[0] == maximize_r(row[0].B, row[0].epsilon)
+            for cell in row[1:]:
+                cold = maximize_r(cell.B, cell.epsilon)
+                assert abs(cell.theta_minus_1 - cold.theta_minus_1) < 1e-12
+                assert abs(cell.r_star - cold.r_star) < 10 * cell.epsilon
 
     def test_row_major_shape(self):
         rows = table1(eps_list=(1e-4, 1e-6), b_range=(1, 2))
