@@ -6,7 +6,7 @@ Modules by role:
     construct  digit-map integer sets, their counted exponent bound, and the
                brute-force sumsets/difference sets that check it
     ratefn     large-deviation rate function I(c, B) via its convex dual
-    optimize   nested maximization of the exponent bound over (a, r, B)
+    optimize   joint Newton maximization of the exponent bound over (a, r), per B
     cli        command-line entry point
 
 Each submodule loads on first use: ``from sumdiff import log_count_rate``
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 #: the numeric kernel; no record carries it, but the benchmark harness
 #: (perfbench/run.py) still reads it until ROADMAP item 7's perfbench change,
-#: after which item 10 deletes it
+#: after which item 13 deletes it
 BACKEND_NAME = "python"
 
 #: public name -> the submodule that defines it, imported on first access

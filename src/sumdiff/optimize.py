@@ -1,25 +1,23 @@
-"""Nested maximization of the growth-exponent bound over (a, r, B).
+"""Joint maximization of the growth-exponent bound over (a, r) for each B.
 
-For fixed B the bound on theta - 1 is
+For fixed B the bound on theta - 1 is N(a, r) / log(2B+1), with numerator
 
-    [ log2 + ar log B + (1-ar) log(B+1) - I(ar, 1) - ar I((1-a)/a, B-1)
-      - (1-ar) I(r/(1-ar), B) - log(2B+1) + I(2r, 2B) ] / log(2B+1)
+    N = log2 + ar log B + (1-ar) log(B+1) - I(ar, 1) - ar I((1-a)/a, B-1)
+        - (1-ar) I(r/(1-ar), B) - log(2B+1) + I(2r, 2B)
 
-maximized first in a over (0, min(1, 1/r)), then in r over [0.5, 2], both
-to x-tolerance eps.  The rate solves give every partial of the numerator in
-closed form (I'(c) = t*, I''(c) = 1/Var at t*).  The numerator is concave in
-a, so the inner search is a safeguarded Newton iteration on its a-slope.  The
-outer search is the same Newton loop on the inner maximum V(r): by the
-envelope theorem V'(r) is the numerator's r-slope at a*(r), and V''(r) adds
-to its r-curvature the cross term's pull through da*/dr.  The rate solves all
-run at the one fixed tolerance ratefn.DEFAULT_TOL (1e-12), whatever eps is,
-so the eps columns of the result table measure only the 1-D searches.  The
-table chains its columns: each row's first cell searches from r = _R_START,
-and each later cell from the optimum of the cell before it, so a cell's
-evaluations count only the steps that refine that optimum to its own eps.
+on 0 < r < B/2 (past it I(2r, 2B) = 0) and 0 < a < min(1, 1/r).  The rate
+solves give every partial of N in closed form (I'(c) = t*, I''(c) = 1/Var at
+t*), so one evaluation, four rate solves, yields N, its gradient and its
+Hessian, and one safeguarded Newton loop climbs (a, r) jointly; eps bounds
+its last step in both coordinates and the gradient's norm there.  At B = 1,
+I((1-a)/a, 0) is identically 0, so a = 1 is no pole: for r <= 1/3 the
+a-terms are the entropy H(ar, r, 1-ar-r), which grows in a up to a = 1, so
+the search holds a = 1 and runs in r alone, to r* = (3 - sqrt 3)/6.  The
+rate solves all run at the one fixed tolerance ratefn.DEFAULT_TOL (1e-12),
+whatever eps is, so the eps columns of the result table measure only the
+search.
 """
 import math
-import warnings
 from typing import NamedTuple
 
 from .ratefn import _check_B, _rate_value
@@ -29,10 +27,6 @@ TABLE_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
 
 _LOG2 = math.log(2.0)
 _NEWTON_MAXFUN = 100
-
-#: start of the r-search: the headline B = 5's r*, below r = 1, where the
-#: inner maximum of B = 2 turns flat and its slope stops pointing to r = 0.5
-_R_START = 0.805
 
 
 class ThetaPoint(NamedTuple):
@@ -47,9 +41,10 @@ class ThetaPoint(NamedTuple):
 class OptimizationReport(NamedTuple):
     """Per-B optimum at a given search tolerance: one table cell.
 
-    r_slope and r_curvature are V'(r*) and V''(r*) of the inner maximum
-    V(r) = max_a numerator, divided by log(2B+1) like theta_minus_1: near 0
-    and negative at an interior maximum.
+    grad_norm is |grad N| at the optimum and curvature the larger eigenvalue
+    of N's Hessian there (at B = 1, on the face a = 1: |N_r| and N_rr), both
+    divided by log(2B+1) like theta_minus_1: near 0 and negative at a
+    maximum.  evaluations counts evaluations of N, four rate solves each.
     """
 
     B: int
@@ -58,12 +53,13 @@ class OptimizationReport(NamedTuple):
     a_star: float
     theta_minus_1: float
     evaluations: int
-    r_slope: float
-    r_curvature: float
+    grad_norm: float
+    curvature: float
 
 
 def _check_eps(eps) -> None:
-    # the a-bracket [eps, min(1, 1/r) - eps] is empty for eps >= 0.25 at r = 2
+    # eps insets the a-range to [eps, min(1, 1/r) - eps], which is empty for
+    # eps >= 0.25 at r = 2, inside the r-domain (0, B/2) of every B >= 5
     if not 0.0 < eps < 0.25:
         raise ValueError(f"eps must be a real in (0, 0.25), got {eps!r}")
 
@@ -72,52 +68,63 @@ def theta_objective(B: int, r: float, a: float) -> ThetaPoint:
     """Evaluate the bound at a single point (B, r, a).
 
     a must lie strictly inside (0, min(1, 1/r)): both endpoints are poles of
-    the rate arguments.  For B = 1 the inner rate I(., 0) is identically
-    zero (single-point support).
+    the rate arguments, except a = 1 at B = 1 and r < 1, where the inner rate
+    I(., 0) is identically zero (single-point support).
     """
     _check_B(B)
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
-    if not 0.0 < a < min(1.0, 1.0 / r):
-        raise ValueError(f"a={a!r} outside the open interval (0, min(1, 1/r)) for r={r!r}")
+    if not (0.0 < a < 1.0 / r and (a < 1.0 or a == 1.0 and B == 1)):
+        raise ValueError(f"a={a!r} outside (0, min(1, 1/r)), or a = 1 at B = 1, for r={r!r}")
     theta_minus_1 = _numerator(_log_diff_rate(a, r, B)[0], r, B)[0] / math.log(2 * B + 1)
     if not math.isfinite(theta_minus_1):
         raise ArithmeticError(f"non-finite objective at B={B}, r={r}, a={a}")
     return ThetaPoint(B, r, a, theta_minus_1)
 
 
-def _newton_max(F, x: float, lo: float, hi: float, eps: float) -> tuple[float, tuple, int]:
-    """(x_max, F(x_max), evaluations) of a safeguarded Newton search from x on [lo, hi].
+def _joint_newton(F, x: tuple[float, float], clip, eps: float) -> tuple[tuple[float, float], tuple, int]:
+    """(x_max, F(*x_max), evaluations) of a safeguarded Newton search for a maximum from x.
 
-    F(x) returns a tuple that starts (f, f', f''); the rest rides along to the
-    caller.  f must be unimodal on [lo, hi], so the sign of f' at each point
-    says on which side the maximum lies.  A Newton step that leaves that open
-    sign bracket, or is taken where f'' >= 0, is replaced by bisection.  The
-    search stops at f' = 0, at a step that would not move x, at a bracket
-    that admits no new point, once a step of at most eps is taken (returning
-    the better of its two ends), or after _NEWTON_MAXFUN evaluations.
+    F(a, r) returns (f, f_a, f_r, f_aa, f_ar, f_rr); a coordinate held fixed
+    has zero slope and cross term.  Where the Hessian H is negative definite
+    the step is Newton's, -H^-1 grad f, elsewhere grad f over H's largest
+    entry in size.  clip(a, r) moves a trial point into the domain, or
+    returns None.  A step is halved until its trial point is in the domain
+    and better: higher f, or f equal up to rounding and a smaller gradient.
+    The search stops once a step of at most eps in both coordinates reaches
+    a gradient of norm at most eps, at a trial point that equals x or is
+    within eps of it and not better, at a step halved to 0 (a non-finite
+    one), or after _NEWTON_MAXFUN evaluations.
     """
-    y = F(x)
+    y = F(*x)
     num = 1
-    while y[1] != 0.0 and num < _NEWTON_MAXFUN:
-        if y[1] > 0.0:
-            lo = x
+    while num < _NEWTON_MAXFUN:
+        f, f_a, f_r, f_aa, f_ar, f_rr = y
+        det = f_aa * f_rr - f_ar * f_ar
+        if f_aa < 0.0 and det > 0.0:
+            d = ((f_ar * f_r - f_rr * f_a) / det, (f_ar * f_a - f_aa * f_r) / det)
         else:
-            hi = x
-        step = x - y[1] / y[2] if y[2] < 0.0 else math.nan
-        if step == x:
+            scale = max(abs(f_aa), abs(f_ar), abs(f_rr)) or 1.0
+            d = (f_a / scale, f_r / scale)
+        # values within slack of f differ by rounding only; the gradient decides between them
+        slack, g_norm = 1e-14 * (1.0 + abs(f)), math.hypot(f_a, f_r)
+        lam = 1.0
+        while True:
+            trial = clip(x[0] + lam * d[0], x[1] + lam * d[1])
+            if trial == x or not lam:
+                return x, y, num
+            if trial is not None:
+                step = max(abs(trial[0] - x[0]), abs(trial[1] - x[1]))
+                y_trial = F(*trial)
+                num += 1
+                if y_trial[0] > f + slack or y_trial[0] >= f - slack and math.hypot(*y_trial[1:3]) < g_norm:
+                    break
+                if step <= eps or num >= _NEWTON_MAXFUN:
+                    return x, y, num
+            lam *= 0.5
+        x, y = trial, y_trial
+        if step <= eps and math.hypot(*y[1:3]) <= eps:
             break
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-            if not lo < step < hi:
-                break
-        y_step = F(step)
-        num += 1
-        if abs(step - x) <= eps:
-            if y_step[0] > y[0]:
-                x, y = step, y_step
-            break
-        x, y = step, y_step
     return x, y, num
 
 
@@ -164,82 +171,73 @@ def _numerator(a_terms: float, r: float, B: int) -> tuple[float, float, float]:
     return (a_terms - math.log(2 * B + 1)) + i4, 2.0 * t4, 4.0 * k4
 
 
-def _search_a(B: int, r: float, eps: float, a: float | None) -> tuple[float, float, float, float, float, int]:
-    """(V, V', V'', a_star, da*/dr, evaluations) of the a-search at fixed (B, r).
+def _search(B: int, eps: float, a: float, r: float, hold_r: bool) -> tuple[tuple[float, float], tuple, int]:
+    """((a_max, r_max), F there, evaluations) of the joint search from (a, r); see _joint_newton.
 
-    The bracket is inset by max(eps, 1e-12) from the poles 0 and 1/r.  The
-    Newton loop runs on f_a from the start a (clipped into the bracket; None
-    starts at its midpoint); f is concave in a, so f_a's sign brackets the
-    maximum.  V is the numerator at a_star.  By the envelope theorem
-    V'(r) = N_r there, and with da*/dr = -f_ar/f_aa (0 where f_aa = 0),
-    V''(r) = N_rr + f_ar*da*/dr.
+    The domain is 0 < r < B/2 (any r with hold_r) and a in [lo, min(1, 1/r) - lo],
+    lo = max(eps, 1e-12), inset from the poles, or [lo, 1] at B = 1 and r < 1.
     """
     lo = max(eps, 1e-12)
-    hi = min(1.0, 1.0 / r) - lo
-    if not lo < hi:
-        raise ValueError(f"eps={eps!r} leaves no a-bracket [{lo!r}, {hi!r}] at r={r!r}")
-    a = 0.5 * (lo + hi) if a is None else min(max(a, lo), hi)
-    a, (f, _, f_aa, f_r, f_rr, f_ar), num = _newton_max(lambda x: _log_diff_rate(x, r, B), a, lo, hi, eps)
-    value, n_r, n_rr = _numerator(f, r, B)
-    da_dr = -f_ar / f_aa if f_aa < 0.0 else 0.0
-    return value, f_r + n_r, f_rr + n_rr + f_ar * da_dr, a, da_dr, num
+    hold_a = B == 1 and not hold_r
+
+    def clip(a, r):
+        if not (hold_r or 0.0 < r < 0.5 * B):
+            return None
+        top = 1.0 if B == 1 and r < 1.0 else min(1.0, 1.0 / r) - lo
+        return (min(max(a, lo), top), r) if lo <= top else None
+
+    def F(a, r):
+        f, f_a, f_aa, f_r, f_rr, f_ar = _log_diff_rate(a, r, B)
+        value, n_r, n_rr = _numerator(f, r, B)
+        if hold_a:
+            f_a = f_ar = 0.0
+        if hold_r:
+            f_r = n_r = f_ar = 0.0
+        return value, f_a, f_r + n_r, f_aa, f_ar, f_rr + n_rr
+
+    start = clip(1.0 if hold_a else a, r)
+    if start is None:
+        raise ValueError(f"eps={eps!r} leaves no a-bracket at r={r!r}")
+    return _joint_newton(F, start, clip, eps)
 
 
 def maximize_a(B: int, r: float, eps: float) -> tuple[float, float]:
     """Maximize the bound numerator in a at fixed (B, r).
 
     Returns (a_star, numerator value).  Dividing the value by log(2B+1)
-    gives theta - 1 at (B, r, a_star).
+    gives theta - 1 at (B, r, a_star).  The search is maximize_r's with r
+    held, from the middle of the a-range.
     """
     _check_B(B)
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
     _check_eps(eps)
-    value, _, _, a_star, _, _ = _search_a(B, r, eps, None)
-    return a_star, value
+    (a_star, _), y, _ = _search(B, eps, 0.5 * min(1.0, 1.0 / r), r, True)
+    return a_star, y[0]
 
 
-def _search_r(B: int, eps: float, r0: float, a0: float | None) -> OptimizationReport:
-    """The outer r-search of maximize_r, started at r0 with its first inner search at a0.
-
-    a0 = None starts that inner search at its bracket's midpoint.  Each later
-    inner search starts at the a* of the r searched before it, moved along
-    its tangent da*/dr.  evaluations counts the objective evaluations of
-    every inner search; r* is one of the points the outer search evaluated,
-    so its inner result is kept, not searched again.
-    """
-    evaluations = 0
-    last = None if a0 is None else (r0, a0, 0.0)
-
-    def outer(r):
-        nonlocal evaluations, last
-        a = None if last is None else last[1] + last[2] * (r - last[0])
-        y = _search_a(B, r, eps, a)
-        evaluations += y[5]
-        last = (r, y[3], y[4])
-        return y
-
-    r_star, (value, slope, curvature, a_star, _, _), _ = _newton_max(outer, r0, 0.5, 2.0, eps)
-    margin = 10.0 * max(eps, 1e-8)
-    if r_star - 0.5 < margin or 2.0 - r_star < margin:
-        # stacklevel 3: the caller of maximize_r or table1
-        warnings.warn(f"r* = {r_star} sits at the edge of [0.5, 2] for B={B}", stacklevel=3)
+def _cell(B: int, eps: float, a: float, r: float) -> OptimizationReport:
+    """The report of the joint search from (a, r)."""
+    (a_star, r_star), (value, n_a, n_r, n_aa, n_ar, n_rr), num = _search(B, eps, a, r, False)
+    # H's smaller eigenvalue, without cancellation, is <= n_aa <= 0; the larger is
+    # det H over it, or n_rr on the face a = 1 of B = 1 or where n_aa = n_ar = 0
+    low = 0.5 * (n_aa + n_rr) - math.hypot(0.5 * (n_aa - n_rr), n_ar)
+    top = n_rr if B == 1 or not low else (n_aa * n_rr - n_ar * n_ar) / low
     log_q = math.log(2 * B + 1)
-    return OptimizationReport(
-        B, eps, r_star, a_star, value / log_q, evaluations, slope / log_q, curvature / log_q
-    )
+    return OptimizationReport(B, eps, r_star, a_star, value / log_q, num, math.hypot(n_a, n_r) / log_q, top / log_q)
 
 
 def maximize_r(B: int, eps: float) -> OptimizationReport:
-    """Maximize over r in [0.5, 2] of the inner a-maximum V(r) at tolerance eps.
+    """Maximize the bound jointly over (a, r) at tolerance eps.
 
-    The outer search is the inner search's safeguarded Newton loop, run on
-    V'(r) and V''(r) from r = _R_START, with the first inner search started
-    at its bracket's midpoint (see _search_r).
+    The search starts at r = 0.4 B/ln(B+2), near r* from B = 1 to 10**4 and
+    kept below 0.25/eps, where the inset a-range is nonempty, with a in the
+    middle of that range.
     """
     _check_B(B)
     _check_eps(eps)
-    return _search_r(B, eps, _R_START, None)
+    r = min(0.4 * B / math.log(B + 2), 0.25 / max(eps, 1e-12))
+    return _cell(B, eps, 0.5 * min(1.0, 1.0 / r), r)
 
 
 def table1(
@@ -251,9 +249,7 @@ def table1(
     Rows are B = b_range[0]..b_range[1] (within 1..10), columns follow
     eps_list; evaluation order is row-major and the output is deterministic.
     The columns of a row are chained: the first cell is maximize_r(B, eps),
-    and each later cell's r-search starts from the previous cell's
-    (r_star, a_star), an optimum to the previous column's eps.  Each cell's
-    evaluations counts its own search only.
+    and each later cell's search starts from the previous cell's optimum.
     """
     if len(eps_list) == 0:
         raise ValueError("eps_list must be nonempty")
@@ -264,11 +260,8 @@ def table1(
         _check_eps(eps)
     rows = []
     for B in range(lo, hi + 1):
-        row = []
-        r, a = _R_START, None
-        for eps in eps_list:
-            cell = _search_r(B, eps, r, a)
-            r, a = cell.r_star, cell.a_star
-            row.append(cell)
+        row = [maximize_r(B, eps_list[0])]
+        for eps in eps_list[1:]:
+            row.append(_cell(B, eps, row[-1].a_star, row[-1].r_star))
         rows.append(row)
     return rows

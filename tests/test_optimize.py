@@ -93,13 +93,17 @@ class TestObjectiveDerivatives:
         assert min(on_zero_branch) > 0
 
     def test_inner_maximum_slope_and_curvature(self):
-        # V(r) = max_a numerator: V' and V'' of the a-search against central
-        # differences of maximize_a's values
+        # V(r) = max_a N: by the envelope theorem V' = N_r at a*(r), and V'' is
+        # N_rr - N_ar^2/N_aa there, from the gradient and Hessian that the joint
+        # search climbs by, against central differences of maximize_a's values
         h1, h2 = 1e-5, 1e-4
         for B in range(3, 11):
             for r in (0.6, 0.805, 1.4):
-                _, v1, v2, _, _, _ = optimize._search_a(B, r, 1e-12, None)
-                up, mid, down = (maximize_a(B, r + d, 1e-12)[1] for d in (h1, 0.0, -h1))
+                a, mid = maximize_a(B, r, 1e-12)
+                _, _, f_aa, f_r, f_rr, f_ar = optimize._log_diff_rate(a, r, B)
+                _, n_r, n_rr = optimize._numerator(0.0, r, B)
+                v1, v2 = f_r + n_r, f_rr + n_rr - f_ar * f_ar / f_aa
+                up, down = (maximize_a(B, r + d, 1e-12)[1] for d in (h1, -h1))
                 assert abs(v1 - (up - down) / (2 * h1)) <= 1e-8
                 up, down = (maximize_a(B, r + d, 1e-12)[1] for d in (h2, -h2))
                 assert abs(v2 - (up - 2 * mid + down) / (h2 * h2)) <= 1e-5 * max(1.0, abs(v2))
@@ -113,29 +117,40 @@ class TestObjectiveDerivatives:
 
 
 class TestNewtonMax:
-    # exp(-x^2/2) is unimodal with its maximum at 0, convex for |x| > 1 and
-    # has f'' = 0 exactly at x = +-1
+    # exp(-(a^2 + r^2)/2) has its maximum at 0; its Hessian is negative
+    # definite only inside the unit circle, and f_aa = 0 exactly at a = +-1
     @staticmethod
-    def bump(x):
-        e = math.exp(-0.5 * x * x)
-        return e, -x * e, (x * x - 1.0) * e
+    def bump(a, r):
+        e = math.exp(-0.5 * (a * a + r * r))
+        return e, -a * e, -r * e, (a * a - 1.0) * e, a * r * e, (r * r - 1.0) * e
+
+    @staticmethod
+    def clip(a, r):
+        return (a, r) if -4.0 < a < 6.0 and -4.0 < r < 6.0 else None
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12, 1e-300])
     @pytest.mark.parametrize("start", [1.0, -1.0, 3.0, -3.5, 0.95, 5.9])
     def test_safeguards_reach_the_maximum(self, start, eps):
-        # starts at f'' = 0, in both convex tails, and at 0.95, where the
-        # Newton step lands at -8.8, outside the bracket
+        # starts on f_aa = 0, in the tails where H is indefinite, and at
+        # (0.95, 0.1), where the Newton step lands at a = -9.9, outside the domain
         calls = []
 
-        def F(x):
-            calls.append(x)
-            return self.bump(x)
+        def F(a, r):
+            calls.append((a, r))
+            return self.bump(a, r)
 
-        x, y, num = optimize._newton_max(F, start, -4.0, 6.0, eps)
-        assert abs(x) <= eps
-        assert y == self.bump(x)
+        x, y, num = optimize._joint_newton(F, (start, 0.1), self.clip, eps)
+        assert max(abs(x[0]), abs(x[1])) <= eps
+        assert y == self.bump(*x)
         assert x in calls and num == len(calls) < optimize._NEWTON_MAXFUN
-        assert all(-4.0 < c < 6.0 for c in calls[1:])
+        assert all(self.clip(*c) for c in calls)
+
+    def test_non_finite_step_ends(self):
+        # an infinite step leaves the domain however far it is halved
+        def F(a, r):
+            return 0.0, math.inf, 1.0, -1.0, 0.0, -1.0
+
+        assert optimize._joint_newton(F, (0.5, 0.5), self.clip, 1e-8) == ((0.5, 0.5), F(0.5, 0.5), 1)
 
 
 class TestMaximizeA:
@@ -186,16 +201,45 @@ class TestMaximizeR:
             assert rep.theta_minus_1 == point.theta_minus_1
 
     def test_at_least_grid_maximum(self):
-        # oracle: the best inner maximum on a 151-point grid over the r-bracket
-        for B in range(3, 11):
-            best = max(maximize_a(B, 0.5 + 1.5 * k / 150, 1e-10)[1] for k in range(151))
+        # oracle: the best inner maximum on a 150-point grid over the whole
+        # r-domain (0, B/2), where a* = 1 at B = 1 for r <= 1/3
+        for B in (*range(1, 11), 20, 40):
+            best = max(maximize_a(B, 0.5 * B * k / 151, 1e-10)[1] for k in range(1, 151))
             assert maximize_r(B, 1e-10).theta_minus_1 * math.log(2 * B + 1) >= best - 1e-12
 
     def test_slope_and_curvature_at_optimum(self):
-        for B in range(3, 11):
+        for B in range(1, 11):
             rep = maximize_r(B, 1e-10)
-            assert abs(rep.r_slope) <= 1e-8
-            assert rep.r_curvature < 0.0
+            assert rep.grad_norm <= 1e-8
+            assert rep.curvature < 0.0
+
+    def test_B1_optimum_on_the_face(self):
+        # on a = 1 the a-terms are the entropy H(r, r, 1 - 2r), and with the
+        # closed form of I(2r, 2), N_r = 0 at r* = (3 - sqrt 3)/6
+        rep = maximize_r(1, 1e-10)
+        assert rep.a_star == 1.0
+        assert abs(rep.r_star - (3 - math.sqrt(3)) / 6) <= 1e-12
+        assert round(rep.theta_minus_1, 6) == 0.130930
+        assert rep.theta_minus_1 == theta_objective(1, rep.r_star, 1.0).theta_minus_1
+        a_star, value = maximize_a(1, rep.r_star, 1e-10)
+        assert a_star == 1.0 and value / math.log(3) == rep.theta_minus_1
+
+    @pytest.mark.parametrize(
+        "B, r_star, theta_minus_1",
+        [(2, 0.3808, 0.159182), (20, 2.4548, 0.156919), (100, 9.1863, 0.124856), (1000, 65.53, 0.090622)],
+    )
+    def test_whole_domain_optima(self, B, r_star, theta_minus_1):
+        # optima on both sides of the small-B range r* = 0.53..1.41 of the table
+        rep = maximize_r(B, 1e-10)
+        digits = 4 if B < 1000 else 2
+        assert round(rep.r_star, digits) == r_star
+        assert round(rep.theta_minus_1, 6) == theta_minus_1
+        assert rep.grad_norm <= 1e-8 and rep.curvature < 0.0
+
+    def test_theta_peaks_at_B5(self):
+        best = maximize_r(5, 1e-10).theta_minus_1
+        for B in (*range(1, 5), *range(6, 41), 100, 1000):
+            assert maximize_r(B, 1e-10).theta_minus_1 < best
 
     def test_ends_at_tiny_eps(self):
         # eps far below float spacing: the searches end on a step that would
@@ -207,19 +251,20 @@ class TestMaximizeR:
     def test_deterministic(self):
         assert maximize_r(6, 1e-8) == maximize_r(6, 1e-8)
 
-    def test_searches_each_r_once(self, monkeypatch):
-        # r* is a point the outer search evaluated, so its a-search is not repeated
-        searched = []
-        inner = optimize._search_a
+    def test_evaluates_each_point_once(self, monkeypatch):
+        # (a*, r*) is a point the search evaluated, so it is not evaluated again,
+        # and evaluations counts every evaluation
+        points = []
+        evaluate = optimize._log_diff_rate
 
-        def counting(B, r, eps, a):
-            searched.append(r)
-            return inner(B, r, eps, a)
+        def counting(a, r, B):
+            points.append((a, r))
+            return evaluate(a, r, B)
 
-        monkeypatch.setattr(optimize, "_search_a", counting)
+        monkeypatch.setattr(optimize, "_log_diff_rate", counting)
         rep = maximize_r(5, 1e-8)
-        assert rep.r_star in searched
-        assert len(searched) == len(set(searched))
+        assert (rep.a_star, rep.r_star) in points
+        assert len(points) == len(set(points)) == rep.evaluations
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -229,15 +274,17 @@ class TestMaximizeR:
 
     def test_large_B(self):
         # every tilt costs O(1), so B = 5001, whose numerator solves I(2r, 2B)
-        # at 2B = 10,002, runs like B = 5; its r* sits on the bracket edge
+        # at 2B = 10,002, runs like B = 5; the search starts near its r* = 271.2
         B = 5001
-        with pytest.warns(UserWarning, match="edge"):
-            rep = maximize_r(B, 1e-4)
+        rep = maximize_r(B, 1e-4)
         assert 0.0 < rep.theta_minus_1 < 1.0
+        assert rep.r_star > 2.0 and rep.grad_norm <= 1e-6 and rep.curvature < 0.0
         assert rep.evaluations < optimize._NEWTON_MAXFUN
         _, value = maximize_a(B, rep.r_star, 1e-4)
         assert abs(value / math.log(2 * B + 1) - rep.theta_minus_1) <= 1e-6
         assert math.isfinite(theta_objective(B, 1.0, 0.5).theta_minus_1)
+        assert maximize_r(B, 1e-10).grad_norm <= 1e-6
+        assert maximize_r(10**4, 1e-10).grad_norm <= 1e-6
 
 
 class TestTable1:
@@ -296,7 +343,8 @@ class TestTable1:
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.25, 1.0])
 def test_entry_points_reject_eps_without_a_bracket(eps):
-    # r reaches 2 in the r-search, where [eps, 1/r - eps] is empty for eps >= 0.25
+    # r = 2 lies in the r-domain (0, B/2) of B = 5, where [eps, 1/r - eps] is
+    # empty for eps >= 0.25
     with pytest.raises(ValueError, match="eps"):
         maximize_a(5, 0.8, eps)
     with pytest.raises(ValueError, match="eps"):
@@ -324,6 +372,6 @@ def test_default_eps_columns_match_published_layout():
         "a_star",
         "theta_minus_1",
         "evaluations",
-        "r_slope",
-        "r_curvature",
+        "grad_norm",
+        "curvature",
     }
