@@ -8,14 +8,14 @@ For fixed B the bound on theta - 1 is N(a, r) / log(2B+1), with numerator
 on 0 < r < B/2 (past it I(2r, 2B) = 0) and 0 < a < min(1, 1/r).  The rate
 solves give every partial of N in closed form (I'(c) = t*, I''(c) = 1/Var at
 t*), so one evaluation, four rate solves, yields N, its gradient and its
-Hessian, and one safeguarded Newton loop climbs (a, r) jointly; eps bounds
-its last step in both coordinates and the gradient's norm there.  At B = 1,
-I((1-a)/a, 0) is identically 0, so a = 1 is no pole: for r <= 1/3 the
-a-terms are the entropy H(ar, r, 1-ar-r), which grows in a up to a = 1, so
-the search holds a = 1 and runs in r alone, to r* = (3 - sqrt 3)/6.  The
-rate solves all run at the one fixed tolerance ratefn.DEFAULT_TOL (1e-12),
-whatever eps is, so the eps columns of the result table measure only the
-search.
+Hessian, and one safeguarded Newton loop climbs (a, r) jointly over that
+whole domain.  eps only stops the search: it bounds the last step in both
+coordinates and the gradient's norm there.  At B = 1, I((1-a)/a, 0) is
+identically 0, so a = 1 is no pole: for r <= 1/3 the a-terms are the entropy
+H(ar, r, 1-ar-r), which grows in a up to a = 1, so the search holds a = 1
+and runs in r alone, to r* = (3 - sqrt 3)/6.  The rate solves all run at the
+one fixed tolerance ratefn.DEFAULT_TOL (1e-12), whatever eps is, so the eps
+columns of the result table measure only the search.
 """
 import math
 from typing import NamedTuple
@@ -58,25 +58,30 @@ class OptimizationReport(NamedTuple):
 
 
 def _check_eps(eps) -> None:
-    # eps insets the a-range to [eps, min(1, 1/r) - eps], which is empty for
-    # eps >= 0.25 at r = 2, inside the r-domain (0, B/2) of every B >= 5
-    if not 0.0 < eps < 0.25:
-        raise ValueError(f"eps must be a real in (0, 0.25), got {eps!r}")
+    # eps bounds a step in a, which lies in (0, 1], so eps >= 1 bounds nothing
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be a real in (0, 1), got {eps!r}")
+
+
+def _a_range(r: float, B: int) -> tuple[float, bool]:
+    """(top, closed): the a-interval at r is (0, top], if closed, else (0, top).
+
+    top = min(1, 1/r); both ends are poles of the rate arguments, except a = 1
+    at B = 1 and r < 1, where the inner rate I(., 0) is identically zero
+    (single-point support).
+    """
+    return (1.0, True) if B == 1 and r < 1.0 else (min(1.0, 1.0 / r), False)
 
 
 def theta_objective(B: int, r: float, a: float) -> ThetaPoint:
-    """Evaluate the bound at a single point (B, r, a).
-
-    a must lie strictly inside (0, min(1, 1/r)): both endpoints are poles of
-    the rate arguments, except a = 1 at B = 1 and r < 1, where the inner rate
-    I(., 0) is identically zero (single-point support).
-    """
+    """Evaluate the bound at a single point (B, r, a), a in the a-interval at r."""
     _check_B(B)
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
-    if not (0.0 < a < 1.0 / r and (a < 1.0 or a == 1.0 and B == 1)):
+    top, closed = _a_range(r, B)
+    if not (0.0 < a < top or closed and a == top):
         raise ValueError(f"a={a!r} outside (0, min(1, 1/r)), or a = 1 at B = 1, for r={r!r}")
-    theta_minus_1 = _numerator(_log_diff_rate(a, r, B)[0], r, B)[0] / math.log(2 * B + 1)
+    theta_minus_1 = _objective(a, r, B)[0] / math.log(2 * B + 1)
     if not math.isfinite(theta_minus_1):
         raise ArithmeticError(f"non-finite objective at B={B}, r={r}, a={a}")
     return ThetaPoint(B, r, a, theta_minus_1)
@@ -128,19 +133,18 @@ def _joint_newton(F, x: tuple[float, float], clip, eps: float) -> tuple[tuple[fl
     return x, y, num
 
 
-def _log_diff_rate(a: float, r: float, B: int) -> tuple[float, float, float, float, float, float]:
-    """(f, f_a, f_aa, f_r, f_rr, f_ar): the six a-dependent numerator terms and their partials.
+def _objective(a: float, r: float, B: int) -> tuple[float, float, float, float, float, float]:
+    """(N, N_a, N_r, N_aa, N_ar, N_rr): the bound numerator and its partials.
 
-    f(a, r) = log2 + ar*log(B) + (1-ar)*log(B+1) - I1 - ar*I2 - (1-ar)*I3 with
-    I1 = I(ar, 1), I2 = I((1-a)/a, B-1), I3 = I(r/(1-ar), B).  With t_i =
-    I_i' and k_i = I_i'' >= 0 from the rate solves, s = 1 - ar,
-    g = log(B/(B+1)) - t1 - I2 + I3 and h = g + t2/a - r*t3/s,
+    With I1 = I(ar, 1), I2 = I((1-a)/a, B-1), I3 = I(r/(1-ar), B) and
+    I4 = I(2r, 2B), t_i = I_i' and k_i = I_i'' >= 0 from the rate solves,
+    s = 1 - ar, g = log(B/(B+1)) - t1 - I2 + I3 and h = g + t2/a - r*t3/s,
 
-        f_a  = r*h                   f_aa = -r^2*k1 - r*k2/a^3 - r^4*k3/s^3 <= 0
-        f_r  = a*g - t3/s            f_rr = -(a^2*k1 + k3/s^3)
-        f_ar = h - r*(a*k1 + r*k3/s^3)
+        N_a  = r*h                   N_aa = -r^2*k1 - r*k2/a^3 - r^4*k3/s^3 <= 0
+        N_r  = a*g - t3/s + 2*t4     N_rr = -(a^2*k1 + k3/s^3) + 4*k4
+        N_ar = h - r*(a*k1 + r*k3/s^3)
 
-    so f is concave in a; I is C^1 across c = B/2, so the slopes are
+    so N is concave in a; I is C^1 across c = B/2, so the slopes are
     continuous there and only the curvatures jump.
     """
     ar = a * r
@@ -148,6 +152,7 @@ def _log_diff_rate(a: float, r: float, B: int) -> tuple[float, float, float, flo
     i1, t1, k1 = _rate_value(ar, 1)[:3]
     i2, t2, k2 = _rate_value((1.0 - a) / a, B - 1)[:3]
     i3, t3, k3 = _rate_value(r / s, B)[:3]
+    i4, t4, k4 = _rate_value(2.0 * r, 2 * B)[:3]
     v = _LOG2
     v += ar * math.log(B)
     v += s * math.log(B + 1)
@@ -157,48 +162,36 @@ def _log_diff_rate(a: float, r: float, B: int) -> tuple[float, float, float, flo
     g = math.log(B / (B + 1)) - t1 - i2 + i3
     h = g + t2 / a - r * t3 / s
     k3s = k3 / (s * s * s)
-    f_aa = -r * (r * k1 + k2 / (a * a * a) + r * r * r * k3s)
-    return v, r * h, f_aa, a * g - t3 / s, -(a * a * k1 + k3s), h - r * (a * k1 + r * k3s)
-
-
-def _numerator(a_terms: float, r: float, B: int) -> tuple[float, float, float]:
-    """(N, N_r - f_r, N_rr - f_rr) of the bound numerator N = a_terms - log(2B+1) + I(2r, 2B).
-
-    The one I(2r, 2B) solve gives the value and, from its tilt t4 and
-    curvature k4, that term's r-slope 2*t4 and r-curvature 4*k4.
-    """
-    i4, t4, k4 = _rate_value(2.0 * r, 2 * B)[:3]
-    return (a_terms - math.log(2 * B + 1)) + i4, 2.0 * t4, 4.0 * k4
+    n_aa = -r * (r * k1 + k2 / (a * a * a) + r * r * r * k3s)
+    n_r = a * g - t3 / s + 2.0 * t4
+    n_rr = -(a * a * k1 + k3s) + 4.0 * k4
+    return (v - math.log(2 * B + 1)) + i4, r * h, n_r, n_aa, h - r * (a * k1 + r * k3s), n_rr
 
 
 def _search(B: int, eps: float, a: float, r: float, hold_r: bool) -> tuple[tuple[float, float], tuple, int]:
     """((a_max, r_max), F there, evaluations) of the joint search from (a, r); see _joint_newton.
 
-    The domain is 0 < r < B/2 (any r with hold_r) and a in [lo, min(1, 1/r) - lo],
-    lo = max(eps, 1e-12), inset from the poles, or [lo, 1] at B = 1 and r < 1.
+    The domain is 0 < r < B/2 (any r with hold_r) and the a-interval at r
+    (_a_range), kept off its poles by 1e-12 of its top.
     """
-    lo = max(eps, 1e-12)
     hold_a = B == 1 and not hold_r
 
     def clip(a, r):
         if not (hold_r or 0.0 < r < 0.5 * B):
             return None
-        top = 1.0 if B == 1 and r < 1.0 else min(1.0, 1.0 / r) - lo
-        return (min(max(a, lo), top), r) if lo <= top else None
+        top, closed = _a_range(r, B)
+        pad = 1e-12 * top
+        return min(max(a, pad), top if closed else top - pad), r
 
     def F(a, r):
-        f, f_a, f_aa, f_r, f_rr, f_ar = _log_diff_rate(a, r, B)
-        value, n_r, n_rr = _numerator(f, r, B)
+        n, n_a, n_r, n_aa, n_ar, n_rr = _objective(a, r, B)
         if hold_a:
-            f_a = f_ar = 0.0
+            n_a = n_ar = 0.0
         if hold_r:
-            f_r = n_r = f_ar = 0.0
-        return value, f_a, f_r + n_r, f_aa, f_ar, f_rr + n_rr
+            n_r = n_ar = 0.0
+        return n, n_a, n_r, n_aa, n_ar, n_rr
 
-    start = clip(1.0 if hold_a else a, r)
-    if start is None:
-        raise ValueError(f"eps={eps!r} leaves no a-bracket at r={r!r}")
-    return _joint_newton(F, start, clip, eps)
+    return _joint_newton(F, clip(1.0 if hold_a else a, r), clip, eps)
 
 
 def maximize_a(B: int, r: float, eps: float) -> tuple[float, float]:
@@ -230,13 +223,12 @@ def _cell(B: int, eps: float, a: float, r: float) -> OptimizationReport:
 def maximize_r(B: int, eps: float) -> OptimizationReport:
     """Maximize the bound jointly over (a, r) at tolerance eps.
 
-    The search starts at r = 0.4 B/ln(B+2), near r* from B = 1 to 10**4 and
-    kept below 0.25/eps, where the inset a-range is nonempty, with a in the
-    middle of that range.
+    The search starts at r = 0.4 B/ln(B+2), near r* from B = 1 to 10**4,
+    with a in the middle of the a-range.
     """
     _check_B(B)
     _check_eps(eps)
-    r = min(0.4 * B / math.log(B + 2), 0.25 / max(eps, 1e-12))
+    r = 0.4 * B / math.log(B + 2)
     return _cell(B, eps, 0.5 * min(1.0, 1.0 / r), r)
 
 

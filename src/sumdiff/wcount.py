@@ -27,9 +27,10 @@ _EXACT_REFUSAL_WORK = MAX_COUNT_WORK // 100
 class EnumerationCapError(ValueError):
     """Raised when an enumeration would exceed ``ENUM_CAP``.
 
-    ``cap`` is ``ENUM_CAP`` as it stood when raised.  ``count`` is exact, or a lower bound when ``exact`` is false; the message
-    gives a count of more than 64 bits by its number of bits, since an exact
-    count may be too long to print.
+    ``cap`` is ``ENUM_CAP`` as it stood when raised.  ``count`` is exact, or
+    a lower bound when ``exact`` is false; the message gives a count of more
+    than 64 bits by its number of bits, since an exact count may be too long
+    to print.
     """
 
     def __init__(self, count: int, what: str = "vectors", exact: bool = True):

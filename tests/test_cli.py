@@ -190,7 +190,7 @@ def test_table1_rejects_b_range_exit_2(capsys, b_range):
     [
         ("optimize", "--B", "5", "--eps", "inf"),
         ("optimize", "--B", "5", "--eps", "1.0"),
-        ("table1", "--b-range", "5..5", "--eps-list", "1e-4", "0.5"),
+        ("table1", "--b-range", "5..5", "--eps-list", "1e-4", "1.5"),
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -59,17 +59,19 @@ class TestThetaObjective:
 
 class TestObjectiveDerivatives:
     def test_match_central_differences(self):
-        # a grid across the a-bracket, skipping the kinks c = B/2 of the three
+        # a grid across the a-interval, skipping the kinks c = B/2 of the four
         # rate terms, where I'' jumps; every term is on its zero branch somewhere
         h1, h2 = 1e-6, 1e-5
-        f = optimize._log_diff_rate
+        f = optimize._objective
 
         def check(exact, difference, rel):
             assert abs(exact - difference) <= rel * max(1.0, abs(exact))
 
-        on_zero_branch = [0, 0, 0]
+        on_zero_branch = [0, 0, 0, 0]
         for B in range(1, 11):
             for r in (0.5, 0.805, 1.4, 2.0):
+                if abs(r - 0.5 * B) < 1e-3:  # the kink 2r = B of I(2r, 2B)
+                    continue
                 top = min(1.0, 1.0 / r)
                 kinks = (0.5 / r, 2.0 / (B + 1), 1.0 / r - 2.0 / B)
                 for k in range(1, 40):
@@ -79,17 +81,18 @@ class TestObjectiveDerivatives:
                     on_zero_branch[0] += a * r >= 0.5
                     on_zero_branch[1] += (1 - a) / a >= (B - 1) / 2
                     on_zero_branch[2] += r / (1 - a * r) >= B / 2
-                    _, f_a, f_aa, f_r, f_rr, f_ar = f(a, r, B)
+                    on_zero_branch[3] += 2 * r >= B
+                    _, n_a, n_r, n_aa, n_ar, n_rr = f(a, r, B)
                     up, down = f(a + h1, r, B), f(a - h1, r, B)
-                    check(f_a, (up[0] - down[0]) / (2 * h1), 1e-8)
+                    check(n_a, (up[0] - down[0]) / (2 * h1), 1e-8)
                     up, down = f(a, r + h1, B), f(a, r - h1, B)
-                    check(f_r, (up[0] - down[0]) / (2 * h1), 1e-8)
+                    check(n_r, (up[0] - down[0]) / (2 * h1), 1e-8)
                     up, down = f(a + h2, r, B), f(a - h2, r, B)
-                    check(f_aa, (up[1] - down[1]) / (2 * h2), 1e-5)
-                    check(f_ar, (up[3] - down[3]) / (2 * h2), 1e-5)
+                    check(n_aa, (up[1] - down[1]) / (2 * h2), 1e-5)
+                    check(n_ar, (up[2] - down[2]) / (2 * h2), 1e-5)
                     up, down = f(a, r + h2, B), f(a, r - h2, B)
-                    check(f_rr, (up[3] - down[3]) / (2 * h2), 1e-5)
-                    check(f_ar, (up[1] - down[1]) / (2 * h2), 1e-5)
+                    check(n_rr, (up[2] - down[2]) / (2 * h2), 1e-5)
+                    check(n_ar, (up[1] - down[1]) / (2 * h2), 1e-5)
         assert min(on_zero_branch) > 0
 
     def test_inner_maximum_slope_and_curvature(self):
@@ -100,9 +103,8 @@ class TestObjectiveDerivatives:
         for B in range(3, 11):
             for r in (0.6, 0.805, 1.4):
                 a, mid = maximize_a(B, r, 1e-12)
-                _, _, f_aa, f_r, f_rr, f_ar = optimize._log_diff_rate(a, r, B)
-                _, n_r, n_rr = optimize._numerator(0.0, r, B)
-                v1, v2 = f_r + n_r, f_rr + n_rr - f_ar * f_ar / f_aa
+                _, _, n_r, n_aa, n_ar, n_rr = optimize._objective(a, r, B)
+                v1, v2 = n_r, n_rr - n_ar * n_ar / n_aa
                 up, down = (maximize_a(B, r + d, 1e-12)[1] for d in (h1, -h1))
                 assert abs(v1 - (up - down) / (2 * h1)) <= 1e-8
                 up, down = (maximize_a(B, r + d, 1e-12)[1] for d in (h2, -h2))
@@ -111,9 +113,9 @@ class TestObjectiveDerivatives:
     @given(st.integers(1, 40), st.floats(0.1, 10.0), st.floats(1e-6, 1.0 - 1e-6))
     def test_concave(self, B, r, frac):
         a = frac * min(1.0, 1.0 / r)
-        _, d1, d2 = optimize._log_diff_rate(a, r, B)[:3]
-        assert math.isfinite(d1)
-        assert d2 <= 0.0
+        _, n_a, _, n_aa = optimize._objective(a, r, B)[:4]
+        assert math.isfinite(n_a)
+        assert n_aa <= 0.0
 
 
 class TestNewtonMax:
@@ -165,18 +167,18 @@ class TestMaximizeA:
         assert abs(coarse - fine) < 1e-5
 
     def test_at_least_grid_maximum(self):
-        # oracle: the best of a 4,001-point grid on the search bracket
+        # oracle: the best of a 3,999-point grid inside the a-interval (0, top)
         eps = 1e-10
         for B in range(3, 11):
             for r in (0.6, 0.805, 1.4):
-                lo, hi = eps, min(1.0, 1.0 / r) - eps
+                top = min(1.0, 1.0 / r)
                 a_star, value = maximize_a(B, r, eps)
-                grid = max(optimize._log_diff_rate(lo + (hi - lo) * k / 4000, r, B)[0] for k in range(4001))
-                assert value >= optimize._numerator(grid, r, B)[0] - 1e-12
+                grid = max(optimize._objective(top * k / 4000, r, B)[0] for k in range(1, 4000))
+                assert value >= grid - 1e-12
                 assert value / math.log(2 * B + 1) == theta_objective(B, r, a_star).theta_minus_1
                 # these optima are interior, where the slope vanishes
-                assert lo + 1e-6 < a_star < hi - 1e-6
-                assert abs(optimize._log_diff_rate(a_star, r, B)[1]) <= 1e-8
+                assert 1e-6 < a_star < top - 1e-6
+                assert abs(optimize._objective(a_star, r, B)[1]) <= 1e-8
 
     def test_value_consistent_with_objective(self):
         # the search and the point evaluation share one numerator
@@ -255,16 +257,24 @@ class TestMaximizeR:
         # (a*, r*) is a point the search evaluated, so it is not evaluated again,
         # and evaluations counts every evaluation
         points = []
-        evaluate = optimize._log_diff_rate
+        evaluate = optimize._objective
 
         def counting(a, r, B):
             points.append((a, r))
             return evaluate(a, r, B)
 
-        monkeypatch.setattr(optimize, "_log_diff_rate", counting)
+        monkeypatch.setattr(optimize, "_objective", counting)
         rep = maximize_r(5, 1e-8)
         assert (rep.a_star, rep.r_star) in points
         assert len(points) == len(set(points)) == rep.evaluations
+
+    @pytest.mark.parametrize("B, eps", [(100, 0.1), (1000, 0.1), (3000, 0.01)])
+    def test_coarse_eps_reaches_interior_optimum(self, B, eps):
+        # a* ~ 0.5/r* lies below these eps: eps must not clip the a-range
+        rep = maximize_r(B, eps)
+        assert rep.evaluations < optimize._NEWTON_MAXFUN
+        assert rep.grad_norm <= eps
+        assert abs(rep.theta_minus_1 - maximize_r(B, 1e-10).theta_minus_1) <= 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -341,10 +351,9 @@ class TestTable1:
             table1(b_range=(3, 11))
 
 
-@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.25, 1.0])
+@pytest.mark.parametrize("eps", [0.0, -1e-4, math.inf, math.nan, 1.0])
 def test_entry_points_reject_eps_without_a_bracket(eps):
-    # r = 2 lies in the r-domain (0, B/2) of B = 5, where [eps, 1/r - eps] is
-    # empty for eps >= 0.25
+    # eps bounds a step in a, which lies in (0, 1]: only 0 < eps < 1 is accepted
     with pytest.raises(ValueError, match="eps"):
         maximize_a(5, 0.8, eps)
     with pytest.raises(ValueError, match="eps"):
@@ -353,13 +362,22 @@ def test_entry_points_reject_eps_without_a_bracket(eps):
         table1((1e-4, eps), (5, 5))
 
 
-def test_maximize_a_rejects_empty_bracket_at_large_r():
-    # (10, 0.1): 1/r = 0.1, so [0.1, 1/r - 0.1] is empty.
-    # (1e13, 1e-14): eps passes, but the search insets by max(eps, 1e-12),
-    # which leaves [1e-12, 1e-13 - 1e-12] empty.
+@pytest.mark.parametrize("eps", [0.25, 0.5])
+def test_entry_points_accept_coarse_eps(eps):
+    # eps only stops the search, so a coarse one still reaches an interior a*
+    a_star, value = maximize_a(5, 2.0, eps)
+    assert 0.0 < a_star < 0.5 and math.isfinite(value)
+    assert maximize_r(5, eps).grad_norm <= eps
+    assert table1((1e-4, eps), (5, 5))[0][1].grad_norm <= eps
+
+
+def test_maximize_a_range_is_never_empty():
+    # eps only stops the search, so the a-range (0, 1/r) holds an optimum at
+    # any r, even where 1/r is below eps or below 1e-12
     for r, eps in [(10.0, 0.1), (1e13, 1e-14)]:
-        with pytest.raises(ValueError, match="a-bracket"):
-            maximize_a(5, r, eps)
+        a_star, value = maximize_a(5, r, eps)
+        assert 0.0 < a_star < 1.0 / r
+        assert math.isfinite(value)
 
 
 def test_default_eps_columns_match_published_layout():
