@@ -11,14 +11,15 @@ U = g(W(m,L,B)) equal lattice counts:
 ``theta_bound`` certifies the exponent bound of U from these counts and a
 greedy fill of the top digits for max U, without building U or forming a
 pair.  The brute-force path (``build_U``, ``sumset``, ``diffset``,
-``theta_bound_exact``) is its oracle: it enumerates U and all |U|^2 pairs,
-held to the enumeration cap, which is checked before any pair is formed.
+``theta_bound_exact``) is its oracle: it enumerates U and forms its pairs,
+with |U|^2 held to the enumeration cap before any pair is formed.
 ``verify_triple`` checks both identities and the injectivity of g at desk
 scale in one pass: it enumerates W once, encodes each vector once by g and
 once packed in the base 2B + 3, and counts distinct sums and differences
 over the packed vectors and over their images.  It holds |W|^2 pairs to the
-cap before it enumerates anything, but forms only the pairs i <= j, since
-x + y = y + x and, over sorted items, x_j - x_i is the negation of x_i - x_j.
+cap before it enumerates anything.  Both paths form only the pairs i <= j
+(``_sums``, ``_low_diffs``), since x + y = y + x and, over sorted items,
+x_j - x_i is the negation of x_i - x_j.
 """
 import math
 from itertools import combinations_with_replacement, starmap
@@ -71,7 +72,7 @@ def encode_g(x: LatticeVector, B: int) -> int:
     window of width 2B+1; accepts [-2B, 2B], which covers sums of two
     W-vectors as well as their differences.
     """
-    if not isinstance(B, int) or B < 1:
+    if not isinstance(B, int) or isinstance(B, bool) or B < 1:
         raise ValueError(f"B must be a positive integer, got {B!r}")
     for coord in x:
         if not -2 * B <= coord <= 2 * B:
@@ -93,38 +94,33 @@ def build_U(p: WParams) -> IntegerSet:
     return U
 
 
+def _sums(items) -> set:
+    """{x + y : x, y in items} from the pairs i <= j alone, since x + y = y + x."""
+    return set(starmap(add, combinations_with_replacement(items, 2)))
+
+
+def _low_diffs(items) -> set:
+    """{x_i - x_j : i <= j} over the sorted items, the differences <= 0.
+
+    Every x_j - x_i with i <= j is the negation of one of them, so for this
+    set A the full set {x - y : x, y in items} is the union of A and -A,
+    which meet only in 0: 2|A| - 1 members, duplicates or not, when items
+    is nonempty.
+    """
+    return set(starmap(sub, combinations_with_replacement(sorted(items), 2)))
+
+
 def sumset(U: IntegerSet) -> IntegerSet:
-    """{u + v : u, v in U} over all pairs, deduplicated and sorted."""
+    """{u + v : u, v in U}, deduplicated and sorted."""
     _refuse_past_cap(len(U) ** 2, "pairs")
-    return tuple(sorted({u + v for u in U for v in U}))
+    return tuple(sorted(_sums(U)))
 
 
 def diffset(U: IntegerSet) -> IntegerSet:
-    """{u - v : u, v in U}; symmetric about 0."""
+    """{u - v : u, v in U}, sorted; symmetric about 0."""
     _refuse_past_cap(len(U) ** 2, "pairs")
-    return tuple(sorted({u - v for u in U for v in U}))
-
-
-def _half_pairs(op, items) -> set:
-    """{op(x_i, x_j) : i <= j} over a sequence of integers."""
-    return set(starmap(op, combinations_with_replacement(items, 2)))
-
-
-def _distinct_sums(items) -> int:
-    """|{x + y : x, y in items}| from the pairs i <= j alone, since x + y = y + x."""
-    return len(_half_pairs(add, items))
-
-
-def _distinct_diffs(items) -> int:
-    """|{x - y : x, y in items}| from the pairs i <= j of the sorted items.
-
-    Sorted, every x_i - x_j with i <= j is <= 0 and its negation is >= 0, so
-    for the set A of those differences the full set is the union of A and
-    -A, which meet only in 0: 2|A| - 1 members, duplicates or not.  Empty
-    items have none.
-    """
-    items = sorted(items)
-    return 2 * len(_half_pairs(sub, items)) - 1 if items else 0
+    low = sorted(_low_diffs(U))  # ends in 0 when U is nonempty
+    return tuple(low + [-d for d in reversed(low[:-1])])
 
 
 def _pack(vectors: list[LatticeVector], B: int) -> list[int]:
@@ -155,9 +151,8 @@ def theta_bound_exact(U: IntegerSet) -> BoundReport:
         raise ValueError("U must contain zero")
     if max(U) < 1:
         raise ValueError("U = {0} has no meaningful scale (log q = 0)")
-    d = len(diffset(U))
-    s = len(sumset(U))
-    return _report(len(U), d, s, 2 * max(U) + 1)
+    _refuse_past_cap(len(U) ** 2, "pairs")
+    return _report(len(U), 2 * len(_low_diffs(U)) - 1, len(_sums(U)), 2 * max(U) + 1)
 
 
 def diff_count(p: WParams) -> CountValue:
@@ -261,11 +256,11 @@ def verify_triple(p: WParams) -> tuple[bool, bool, bool]:
     vectors = list(_vectors(*p))
     images = [encode_g(x, p.B) for x in vectors]
     packed = _pack(vectors, p.B)
-    sums, diffs = _distinct_sums(images), _distinct_diffs(images)
+    sums, low = len(_sums(images)), len(_low_diffs(images))  # W holds 0: images is nonempty
     return (
         sums == count_W(_doubled(p)).exact,
-        diffs == diff_count(p).exact,
-        sums == _distinct_sums(packed) and diffs == _distinct_diffs(packed),
+        2 * low - 1 == diff_count(p).exact,
+        sums == len(_sums(packed)) and low == len(_low_diffs(packed)),
     )
 
 

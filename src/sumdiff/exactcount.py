@@ -2,12 +2,13 @@
 
 |W(m, L, B)| = sum_k (-1)^k C(m, k) C(L - k(B+1) + m, m) over the k
 coordinates that exceed B.  ``_count`` sums its terms swept down from the
-last, in blocks with one pair of big-integer divisions a block;
-``_count_work`` estimates that work in O(1) float arithmetic, and a count
-past ``MAX_COUNT_WORK`` is refused before it starts.  Kept apart from
-``wcount`` so that each module compiles on its own: a cold ``count`` with no
-cached bytecode compiles both, and its peak memory is the larger compile's,
-not their sum.
+last, in blocks with one pair of big-integer divisions a block and as many
+steps a block as the width of a ratio factor allows (one, past
+``_WIDE_BITS``); ``_count_work`` estimates that work in O(1) float
+arithmetic, and a count past ``MAX_COUNT_WORK`` is refused before it
+starts.  Kept apart from ``wcount`` so that each module compiles on its
+own: a cold ``count`` with no cached bytecode compiles both, and its peak
+memory is the larger compile's, not their sum.
 """
 import math
 
@@ -18,10 +19,6 @@ _BLOCK_BITS = 1024
 #: wider ratio factors step alone: past about four machine words, a wider
 #: divisor costs more than it saves
 _WIDE_BITS = 128
-
-#: so do sweeps from a shorter first term: dividing a short term costs less
-#: than a block's bookkeeping
-_SHORT_BITS = 512
 
 #: largest ``_count_work`` of one count, or of ``construct.theta_bound``'s
 #: counts together: 8-26 s at the 0.5-1.7 ns a unit measured
@@ -56,12 +53,12 @@ def _count(m: int, L: int, B: int) -> int:
     |W(m, L, B)| = sum_k (-1)^k C(m, k) C(L - k(B+1) + m, m), over
     k <= K = min(m, floor(L/(B+1))) after L is saturated at m*B, swept down
     from k = K, each term carried to the one before by a ratio of two small
-    products.  The steps run in blocks whose ratio denominators multiply to
-    under ``_BLOCK_BITS`` bits, and a block divides the big terms twice, not
-    once a step; with factors wider than ``_WIDE_BITS``, or a first term
-    shorter than ``_SHORT_BITS``, every step takes one division.  Raises
-    ``ValueError`` before counting when ``_count_work`` exceeds
-    ``MAX_COUNT_WORK``.
+    products.  The steps run in blocks of ``_BLOCK_BITS // width``, for width
+    the bits that bound every ratio factor, so a block's ratio denominators
+    multiply to under ``_BLOCK_BITS`` bits and it divides the big terms
+    twice, not once a step; past ``_WIDE_BITS`` of width a block is one
+    step.  Raises ``ValueError`` before counting when ``_count_work``
+    exceeds ``MAX_COUNT_WORK``.
     """
     L = min(L, m * B)
     # z bounds K, the ratio width and the bits of every term by 2z, as
@@ -86,21 +83,13 @@ def _count(m: int, L: int, B: int) -> int:
     if K & 1:
         term = -term
     total = term
-    g = 1  # steps a block
-    if term.bit_length() >= _SHORT_BITS:
-        width = m.bit_length() + a * (L + m).bit_length()  # bits of m*(L+m)^a, above any factor's
-        if width <= _WIDE_BITS:
-            g = _BLOCK_BITS // width
-    if g == 1:
-        for k in range(K, 0, -1):
-            n += s
-            # t_{k-1}/t_k = -k C(n, m) / ((m-k+1) C(n-s, m)), an exact division
-            term = -term * (k * math.perm(n, a)) // ((m - k + 1) * math.perm(n - b, a))
-            total += term
-        return total
-    # In a block from term = t_i down to t_j, Q/P = t_j/term and, by Horner's
-    # rule, T/P = (t_{i-1} + ... + t_{j+1})/term, the terms in between.  From
-    # T = -1 the first step leaves T = 0, so a one-step block has T = 0.
+    width = m.bit_length() + a * (L + m).bit_length()  # bits of m*(L+m)^a, above any factor's
+    g = _BLOCK_BITS // width if width <= _WIDE_BITS else 1  # steps a block
+    # A step carries t_k to t_{k-1} = t_k * -k C(n+s, m) / ((m-k+1) C(n, m)),
+    # its factors gathered in Q and P.  In a block from term = t_i down to
+    # t_j, Q/P = t_j/term and, by Horner's rule, T/P = (t_{i-1} + ... +
+    # t_{j+1})/term, the terms in between.  From T = -1 the first step leaves
+    # T = 0, so a one-step block has T = 0 and divides once, as a lone step.
     P = Q = 1
     T = -1
     for k in range(K, 0, -1):

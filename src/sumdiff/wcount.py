@@ -148,4 +148,6 @@ def log_count_rate(m: int, r: float, B: int) -> float:
         raise ValueError(f"B must be a positive integer, got {B!r}")
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
-    return math.log(_count(m, math.floor(r * m), B)) / m
+    # saturated before floor, which an r*m past the float range would overflow
+    L = m * B if r >= B else math.floor(r * m)
+    return math.log(_count(m, L, B)) / m

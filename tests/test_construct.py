@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from sumdiff import construct, wcount
 from sumdiff.construct import (
-    _distinct_diffs,
-    _distinct_sums,
+    _low_diffs,
     _pack,
+    _sums,
     build_U,
     diffset,
     encode_g,
@@ -45,6 +45,8 @@ class TestEncodeG:
             encode_g((-5,), 2)
         with pytest.raises(ValueError):
             encode_g((1,), 0)
+        with pytest.raises(ValueError):
+            encode_g((1, 2), True)  # bool is an int subclass, refused as by WParams
 
 
 class TestBuildU:
@@ -279,16 +281,26 @@ def _colliding_g(x, B):
     return sum(c * (2 * B) ** k for k, c in enumerate(x))
 
 
+def full_pairs(items):
+    """Independent oracle: the sum and difference sets over all |items|^2 pairs."""
+    return {u + v for u in items for v in items}, {u - v for u in items for v in items}
+
+
 class TestPairCounters:
-    """The i <= j counters behind the verify checks, against full-pair oracles."""
+    """The i <= j counters behind the pair sets and the verify checks, against full-pair oracles."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-20, 20), max_size=40))
     @example([])
     @example(build_U(WParams(3, 3, 2)))
     def test_integers_match_sumset_and_diffset(self, items):
-        assert _distinct_sums(items) == len(sumset(tuple(items)))
-        assert _distinct_diffs(items) == len(diffset(tuple(items)))
+        sums, diffs = full_pairs(items)
+        assert sumset(tuple(items)) == tuple(sorted(sums))
+        assert diffset(tuple(items)) == tuple(sorted(diffs))
+        U = tuple(items) + (0, 1)  # theta_bound_exact needs 0 and a positive member
+        sums, diffs = full_pairs(U)
+        report = theta_bound_exact(U)
+        assert (report.d.exact, report.s.exact) == (len(diffs), len(sums))
 
     @settings(max_examples=200, deadline=None)
     @given(packable)
@@ -299,8 +311,9 @@ class TestPairCounters:
         sums = {tuple(a + b for a, b in zip(x, y)) for x in items for y in items}
         diffs = {tuple(a - b for a, b in zip(x, y)) for x in items for y in items}
         packed = _pack(items, B)
-        assert _distinct_sums(packed) == len(sums)
-        assert _distinct_diffs(packed) == len(diffs)
+        assert len(_sums(packed)) == len(sums)
+        # diffs is symmetric about the zero vector, which it holds once
+        assert len(_low_diffs(packed)) == (len(diffs) + 1) // 2
 
     def test_packed_sums_hash_apart(self):
         # an int hashes to its value mod 2^61 - 1; in a power-of-two base the

@@ -54,15 +54,10 @@ def ie_count(m, L, B):
 def block_steps(m, L, B):
     """Steps a block of ``_count`` at most, by the rule of its docstring:
     divisors under _BLOCK_BITS from factors of at most m*(L+m)^a bits, and a
-    factor wider than _WIDE_BITS, or a first term shorter than _SHORT_BITS,
-    one step alone."""
+    factor wider than _WIDE_BITS one step alone."""
     L = min(L, m * B)
-    K = min(m, L // (B + 1))
     width = m.bit_length() + min(m, B + 1) * (L + m).bit_length()
-    first = math.comb(m, K) * math.comb(L - K * (B + 1) + m, m)
-    if width > exactcount._WIDE_BITS or first.bit_length() < exactcount._SHORT_BITS:
-        return 1
-    return exactcount._BLOCK_BITS // width
+    return 1 if width > exactcount._WIDE_BITS else exactcount._BLOCK_BITS // width
 
 
 def pascal(m, k):
@@ -153,7 +148,6 @@ class TestBlockedCount:
     @pytest.mark.parametrize("m, B", [(100, 2), (61, 1), (10, 10), (9, 20), (20, 30)])
     def test_every_K_across_block_ends(self, monkeypatch, block_bits, m, B):
         monkeypatch.setattr(exactcount, "_BLOCK_BITS", block_bits)
-        monkeypatch.setattr(exactcount, "_SHORT_BITS", 0)  # blocks from the shortest terms
         names = ("0", "1", "g-1", "g", "g+1", "2g+1")
         reached = set()
         for L in range(m * B + 3):
@@ -172,8 +166,7 @@ class TestBlockedCount:
 
     @pytest.mark.parametrize("m, L, B", [
         (40, 3000, 200),  # a ratio too wide to block
-        (100, 50, 2),  # a first term too short to block
-        (300, 600, 3),
+        (1000, 3000, 12),  # 166 bits wide, from a first term of 851 bits
     ])
     def test_one_step_a_block(self, m, L, B):
         assert block_steps(m, L, B) == 1
@@ -308,6 +301,10 @@ class TestLogCountRate:
             log_count_rate(5, -1.0, 2)
         with pytest.raises(ValueError):
             log_count_rate(5, 1.0, 0)
+
+    def test_saturates_past_float_range(self):
+        # r*m overflows a float, but the count saturates at L = m*B
+        assert log_count_rate(10, 1e308, 3) == math.log(4**10) / 10
 
     @pytest.mark.parametrize("m, B", [(True, 2), (5, True), (False, 2)])
     def test_rejects_bool(self, m, B):
