@@ -6,7 +6,7 @@ Modules by role:
     construct  digit-map integer sets, their counted exponent bound, and the
                brute-force sumsets/difference sets that check it
     ratefn     large-deviation rate function I(c, B) via its convex dual
-    optimize   joint Newton maximization of the exponent bound over (a, r), per B
+    optimize   maximization of the exponent bound, per B, as one search in a tilt
     cli        command-line entry point
 
 Each submodule loads on first use: ``from sumdiff import log_count_rate``

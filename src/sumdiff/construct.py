@@ -22,7 +22,7 @@ cap before it enumerates anything.  Both paths form only the pairs i <= j
 x_j - x_i is the negation of x_i - x_j.
 """
 import math
-from itertools import combinations_with_replacement, starmap
+from itertools import combinations_with_replacement, pairwise, starmap
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
@@ -144,9 +144,11 @@ def _report(n: int, d: int, s: int, q: int) -> BoundReport:
 
 
 def theta_bound_exact(U: IntegerSet) -> BoundReport:
-    """Exponent bound 1 + log(|U-U|/|U+U|) / log(2*max(U)+1) for a concrete U."""
+    """Exponent bound 1 + log(|U-U|/|U+U|) / log(2*max(U)+1) for a concrete U, strictly increasing."""
     if len(U) == 0:
         raise ValueError("U must be nonempty")
+    if any(u >= v for u, v in pairwise(U)):
+        raise ValueError("U must be strictly increasing: no repeats, in sorted order")
     if 0 not in U:
         raise ValueError("U must contain zero")
     if max(U) < 1:

@@ -3,8 +3,9 @@
 I(c, B) is zero for c >= B/2 (the event is typical) and otherwise the
 Legendre transform sup_t (t*c - log((1 + e^t + ... + e^{Bt})/(B+1))),
 attained at the negative tilt t* where the tilted mean equals c.  t* is
-found by a safeguarded Newton iteration whose derivative is the tilted
-variance (d/dt tilted_mean = Var_t); B = 1 has a closed form.  The tilted
+found by _newton_root, a safeguarded Newton loop on t < 0 that optimize's
+one-variable searches share, here with the tilted variance as derivative
+(d/dt tilted_mean = Var_t); B = 1 has a closed form.  The tilted
 law is a truncated geometric law, so each step takes its mean, variance and
 log-MGF in O(1) for any B: in closed form, or near t = 0, where that form
 cancels, from the Bernoulli series of coth.  It governs
@@ -20,7 +21,7 @@ from typing import NamedTuple
 #: to about this absolute accuracy, fixed independently of any outer search
 DEFAULT_TOL = 1e-12
 
-#: hard cap on the steps of one rate solve
+#: hard cap on the steps of one _newton_root search
 _MAX_ITER = 100
 
 #: B_2k/(2k)! for k = 1..7, the coefficients of h(x) = coth(x/2)/2 - 1/x =
@@ -121,59 +122,69 @@ def _moments(t: float, B: int) -> tuple[float, float, float]:
     return mean, var, lmgf
 
 
-def _rate_value(c: float, B: int) -> tuple[float, float, float, int, float]:
-    """(value, t_star, curvature, iterations, residual) of I(c, B).
+def _newton_root(F, t: float, target: float) -> tuple[float, tuple, int]:
+    """(t, F(t), steps) of a safeguarded Newton search for the root of h in t < 0.
 
-    t_star is the slope I'(c) and curvature, 1/Var at t_star, is I''(c):
-    both are 0 on the zero branch, the only branch with t_star = 0.  B == 0
-    is on the zero branch for every c, and B == 1 has the closed form
-    I(c, 1) = log 2 - H(c) at t* = log(c/(1-c)), where Var = c(1-c).
-    Otherwise Newton's method runs on tilted_mean(t) - c, whose derivative
-    is the tilted variance, both from _moments in O(1) per step, from the
-    smaller of the small-tilt guess (c - B/2)*12/(B(B+2)) and the tilt
-    log(c/(1+c)) of the geometric law with mean c, the limit B -> inf.  Past
-    B(B+2) ~ 1.8e308, where the variance B(B+2)/12 at t = 0 overflows too,
-    that guess raises OverflowError.  Every evaluation tightens a bracket
-    [t_lo, 0] around the root; a step that leaves it is replaced by
-    bisection, or by doubling t while t_lo is still -inf.  The solve stops
-    once |tilted_mean(t) - c| <= DEFAULT_TOL*min(1, c), which puts t within
-    about DEFAULT_TOL of t* at every c > 0, or once the bracket admits no
-    new point, or after _MAX_ITER steps.  The value t*c - log_mgf(t*) takes
-    the log-MGF of the last step, at the returned t*.  residual is
-    |tilted_mean(t*) - c| at the returned t*.
+    F(t) returns (h, h', ...), where h changes sign once on t < 0, from
+    negative to positive; t = 0 is never evaluated.  Every evaluation
+    tightens a bracket [t_lo, 0] around the root; a Newton step that leaves
+    it, or that h' <= 0 leaves undefined, is replaced by bisection, or by
+    doubling t while t_lo is still -inf.  The search stops once |h| <=
+    target, once the bracket admits no new point, or after _MAX_ITER steps.
     """
-    if B <= 0 or c >= 0.5 * B:
-        return (0.0, 0.0, 0.0, 0, 0.0)
-    if c <= 0.0:
-        return (math.log(B + 1), -math.inf, math.inf, 0, 0.0)
-    if B == 1:
-        t = math.log(c / (1.0 - c))
-        value = math.log(2.0) + c * math.log(c) + (1.0 - c) * math.log1p(-c)
-        return (max(value, 0.0), t, 1.0 / (c * (1.0 - c)), 0, abs(_moments(t, 1)[0] - c))
-    target = DEFAULT_TOL * min(1.0, c)
-    t_lo = -math.inf
-    t_hi = 0.0
-    t = min((c - 0.5 * B) * 12.0 / (B * (B + 2)), math.log(c / (1.0 + c)))
-    iterations = 0
+    t_lo, t_hi, steps = -math.inf, 0.0, 0
     while True:
-        mean, var, lmgf = _moments(t, B)
-        resid = mean - c
-        if abs(resid) <= target or iterations == _MAX_ITER:
+        y = F(t)
+        h, dh = y[0], y[1]
+        if abs(h) <= target or steps == _MAX_ITER:
             break
-        if resid < 0.0:
+        if h < 0.0:
             t_lo = t
         else:
             t_hi = t
-        step = t - resid / var if var > 0.0 else -math.inf
+        step = t - h / dh if dh > 0.0 else -math.inf
         if not t_lo < step < t_hi:
             # safeguard: bisect, or double outward while t_lo is unknown
             step = 2.0 * t if t_lo == -math.inf else 0.5 * (t_lo + t_hi)
             if not t_lo < step < t_hi:
                 break
         t = step
-        iterations += 1
-    curvature = 1.0 / var if var > 0.0 else math.inf
-    return (max(t * c - lmgf, 0.0), t, curvature, iterations, abs(resid))
+        steps += 1
+    return t, y, steps
+
+
+def _rate_value(c: float, B: int) -> tuple[float, float, int, float]:
+    """(value, t_star, iterations, residual) of I(c, B).
+
+    t_star is the slope I'(c): 0 on the zero branch, the only branch with
+    t_star = 0.  B == 0 is on the zero branch for every c, and B == 1 has
+    the closed form I(c, 1) = log 2 - H(c) at t* = log(c/(1-c)).  Otherwise
+    _newton_root runs on tilted_mean(t) - c, whose derivative is the tilted
+    variance, both from _moments in O(1) per step, from the smaller of the
+    small-tilt guess (c - B/2)*12/(B(B+2)) and the tilt log(c/(1+c)) of the
+    geometric law with mean c, the limit B -> inf.  Past B(B+2) ~ 1.8e308,
+    where the variance B(B+2)/12 at t = 0 overflows too, that guess raises
+    OverflowError.  The solve stops once |tilted_mean(t) - c| <=
+    DEFAULT_TOL*min(1, c), which puts t within about DEFAULT_TOL of t* at
+    every c > 0.  The value t*c - log_mgf(t*) and residual
+    |tilted_mean(t*) - c| take the last step's moments, at the returned t*.
+    """
+    if B <= 0 or c >= 0.5 * B:
+        return (0.0, 0.0, 0, 0.0)
+    if c <= 0.0:
+        return (math.log(B + 1), -math.inf, 0, 0.0)
+    if B == 1:
+        t = math.log(c / (1.0 - c))
+        value = math.log(2.0) + c * math.log(c) + (1.0 - c) * math.log1p(-c)
+        return (max(value, 0.0), t, 0, abs(_moments(t, 1)[0] - c))
+
+    def F(t):
+        mean, var, lmgf = _moments(t, B)
+        return mean - c, var, lmgf
+
+    t = min((c - 0.5 * B) * 12.0 / (B * (B + 2)), math.log(c / (1.0 + c)))
+    t, (resid, _, lmgf), iterations = _newton_root(F, t, DEFAULT_TOL * min(1.0, c))
+    return (max(t * c - lmgf, 0.0), t, iterations, abs(resid))
 
 
 def log_mgf(t: float, B: int) -> float:
@@ -198,7 +209,7 @@ def rate_I(q: RateQuery) -> RateResult:
     |tilted_mean(t, B) - c| <= DEFAULT_TOL*min(1, c), so t* is accurate to
     about DEFAULT_TOL even for c far below it.
     """
-    value, t_star, _, iterations, residual = _rate_value(q.c, q.B)
+    value, t_star, iterations, residual = _rate_value(q.c, q.B)
     if t_star == 0.0:
         t_star = None
     return RateResult(value, t_star, iterations, residual)

@@ -227,6 +227,25 @@ def test_large_B_exit_0(capsys, argv):
         assert record["results"]["r_star"] > 2.0
 
 
+@pytest.mark.parametrize("k", [*range(8, 16), 20])
+def test_optimize_large_B_is_stationary(capsys, k):
+    # a record is printed only at a stationary point; a search that fails exits 2
+    code, out, err = run(capsys, "optimize", "--B", str(10**k), "--eps", "1e-10")
+    if code == 0:
+        assert json.loads(out)["results"]["grad_norm"] <= 1e-10
+    else:
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_optimize_step_cap_exit_2(capsys, monkeypatch):
+    # a search that the step cap ends short of eps prints no record
+    monkeypatch.setattr(ratefn, "_MAX_ITER", 1)
+    code, out, err = run(capsys, "optimize", "--B", "5", "--eps", "1e-10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "eps" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [("rate", "--c", "1", "--B", str(10**400)),

@@ -132,6 +132,11 @@ class TestThetaBound:
             theta_bound_exact((1, 2))
         with pytest.raises(ValueError):
             theta_bound_exact((0,))
+        # a repeat would count in set_size, and U is a set in increasing order
+        with pytest.raises(ValueError, match="strictly increasing"):
+            theta_bound_exact((0, 1, 1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            theta_bound_exact((1, 0))
 
 
 class TestCountedBound:
@@ -297,7 +302,8 @@ class TestPairCounters:
         sums, diffs = full_pairs(items)
         assert sumset(tuple(items)) == tuple(sorted(sums))
         assert diffset(tuple(items)) == tuple(sorted(diffs))
-        U = tuple(items) + (0, 1)  # theta_bound_exact needs 0 and a positive member
+        # theta_bound_exact needs a strictly increasing U holding 0 and a positive member
+        U = tuple(sorted({*items, 0, 1}))
         sums, diffs = full_pairs(U)
         report = theta_bound_exact(U)
         assert (report.d.exact, report.s.exact) == (len(diffs), len(sums))

@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from sumdiff import optimize
+from sumdiff import optimize, ratefn
 from sumdiff.optimize import (
     TABLE_EPS,
     OptimizationReport,
@@ -13,7 +15,7 @@ from sumdiff.optimize import (
     table1,
     theta_objective,
 )
-from sumdiff.ratefn import DEFAULT_TOL, RateQuery, rate_I
+from sumdiff.ratefn import _MAX_ITER, DEFAULT_TOL, RateQuery, _newton_root, rate_I
 
 from test_acceptance import TABLE_COLUMN_1E10
 
@@ -57,102 +59,206 @@ class TestThetaObjective:
             theta_objective(5, -1.0, 0.5)
 
 
+def dec_f(t, B):
+    """Oracle: f_B(t) = log[(1 + x - 2x^(B+1)) / (1 - x^(2B+1))], x = e^t, in 50-digit decimal.
+
+    t is taken exactly (a float or a Decimal); each x^k is exp(k t).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(t)
+        return ((1 + t.exp() - 2 * ((B + 1) * t).exp()) / (1 - ((2 * B + 1) * t).exp())).ln()
+
+
+def dec_folded(t, B):
+    """Oracle: (mean, variance, P(Y < 0)) of |Y|, Y uniform on {-B..B} tilted by e^(t|Y|), by direct sums."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(t)
+        terms = [(k * t).exp() for k in range(B + 1)]
+        weights = [terms[0]] + [2 * e for e in terms[1:]]
+        s0 = sum(weights)
+        mean = sum(k * w for k, w in enumerate(weights)) / s0
+        var = sum(k * k * w for k, w in enumerate(weights)) / s0 - mean * mean
+        return mean, var, sum(terms[1:]) / s0
+
+
+def dec_rate(weights, c):
+    """Oracle: (rate, slope, curvature) in c of the law P(J = j) ~ weights[j] at mean c.
+
+    The rate sup_t (t c - log E e^(tJ)) is 0 from c >= E J; otherwise the
+    tilt, the slope, is found by bisection on the tilted mean to 1e-25, in
+    50-digit decimal, and the curvature is 1/Var there.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c = Decimal(c)
+        total = sum(Decimal(w) for w in weights)
+
+        def moments(t):
+            terms = [w * (j * t).exp() for j, w in enumerate(weights)]
+            s0 = sum(terms)
+            mean = sum(j * e for j, e in enumerate(terms)) / s0
+            return mean, sum(j * j * e for j, e in enumerate(terms)) / s0 - mean * mean, (s0 / total).ln()
+
+        if c >= moments(Decimal(0))[0]:
+            return Decimal(0), Decimal(0), Decimal(0)
+        lo, hi = Decimal(-1), Decimal(0)
+        while moments(lo)[0] >= c:
+            lo *= 2
+        while hi - lo > Decimal("1e-25"):
+            mid = (lo + hi) / 2
+            if moments(mid)[0] < c:
+                lo = mid
+            else:
+                hi = mid
+        _, var, lmgf = moments(lo)
+        return lo * c - lmgf, lo, 1 / var
+
+
+def inner_max(B, r):
+    """Oracle: (I(2r, 2B) - J_B(2r), its slope in r, its curvature in r), from dec_rate."""
+    i, t_i, k_i = dec_rate([1] * (2 * B + 1), 2 * r)
+    j, t_j, k_j = dec_rate([1] + [2] * B, 2 * r)
+    return i - j, 2 * (t_i - t_j), 4 * (k_i - k_j)
+
+
+def P(x, B):
+    """The integer polynomial whose root in (0, 1) is x* = e^t*; positive below it."""
+    return 1 - 2 * (B + 1) * x**B + (2 * B + 1) * x ** (2 * B) + 2 * B * x ** (2 * B + 1) - 2 * B * x ** (3 * B + 1)
+
+
 class TestObjectiveDerivatives:
     def test_match_central_differences(self):
-        # a grid across the a-interval, skipping the kinks c = B/2 of the four
-        # rate terms, where I'' jumps; every term is on its zero branch somewhere
-        h1, h2 = 1e-6, 1e-5
-        f = optimize._objective
-
-        def check(exact, difference, rel):
-            assert abs(exact - difference) <= rel * max(1.0, abs(exact))
-
-        on_zero_branch = [0, 0, 0, 0]
-        for B in range(1, 11):
-            for r in (0.5, 0.805, 1.4, 2.0):
-                if abs(r - 0.5 * B) < 1e-3:  # the kink 2r = B of I(2r, 2B)
-                    continue
-                top = min(1.0, 1.0 / r)
-                kinks = (0.5 / r, 2.0 / (B + 1), 1.0 / r - 2.0 / B)
-                for k in range(1, 40):
-                    a = top * k / 40
-                    if any(abs(a - kink) < 1e-3 for kink in kinks):
-                        continue
-                    on_zero_branch[0] += a * r >= 0.5
-                    on_zero_branch[1] += (1 - a) / a >= (B - 1) / 2
-                    on_zero_branch[2] += r / (1 - a * r) >= B / 2
-                    on_zero_branch[3] += 2 * r >= B
-                    _, n_a, n_r, n_aa, n_ar, n_rr = f(a, r, B)
-                    up, down = f(a + h1, r, B), f(a - h1, r, B)
-                    check(n_a, (up[0] - down[0]) / (2 * h1), 1e-8)
-                    up, down = f(a, r + h1, B), f(a, r - h1, B)
-                    check(n_r, (up[0] - down[0]) / (2 * h1), 1e-8)
-                    up, down = f(a + h2, r, B), f(a - h2, r, B)
-                    check(n_aa, (up[1] - down[1]) / (2 * h2), 1e-5)
-                    check(n_ar, (up[2] - down[2]) / (2 * h2), 1e-5)
-                    up, down = f(a, r + h2, B), f(a, r - h2, B)
-                    check(n_rr, (up[2] - down[2]) / (2 * h2), 1e-5)
-                    check(n_ar, (up[1] - down[1]) / (2 * h2), 1e-5)
-        assert min(on_zero_branch) > 0
+        # f' and f'' of _folded against 50-digit central differences of f, and
+        # the mean, variance and P(Y < 0) of |Y| against direct sums, on tilts
+        # with x^B from 0.9 down to 1e-6, and x^B = 1/(2B + 2) near t*
+        for B in (1, 2, 3, 5, 10, 40, 10**6, 10**12):
+            for xb in (0.9, 0.5, 1 / (2 * B + 2), 1e-3, 1e-6):
+                t = math.log(xb) / B
+                slope, curvature, mean, var, p = optimize._folded(t, B)
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    T = Decimal(t)
+                    h1, h2 = Decimal("1e-20") * abs(T), Decimal("1e-10") * abs(T)
+                    d1 = (dec_f(T + h1, B) - dec_f(T - h1, B)) / (2 * h1)
+                    d2 = (dec_f(T + h2, B) - 2 * dec_f(T, B) + dec_f(T - h2, B)) / (h2 * h2)
+                # near t*, where f' is tiny, its error stays below 1e-15 at any B
+                assert abs(slope - float(d1)) <= 1e-14 * abs(float(d1)) + 1e-15
+                assert abs(curvature - float(d2)) <= 1e-12 * abs(float(d2))
+                if B <= 40:
+                    oracle = dec_folded(t, B)
+                    for got, want in zip((mean, var, p), oracle):
+                        assert abs(got - float(want)) <= 1e-14 * float(want)
 
     def test_inner_maximum_slope_and_curvature(self):
-        # V(r) = max_a N: by the envelope theorem V' = N_r at a*(r), and V'' is
-        # N_rr - N_ar^2/N_aa there, from the gradient and Hessian that the joint
-        # search climbs by, against central differences of maximize_a's values
+        # V(r) = max_a N = I(2r, 2B) - J(2r), so V' = 2(t_I - t_J) and
+        # V'' = 4(1/Var_I - 1/Var_J) at the two tilts (J = 0 past its mean,
+        # as at B = 3, r = 1.4): against central differences of maximize_a's values
         h1, h2 = 1e-5, 1e-4
         for B in range(3, 11):
             for r in (0.6, 0.805, 1.4):
-                a, mid = maximize_a(B, r, 1e-12)
-                _, _, n_r, n_aa, n_ar, n_rr = optimize._objective(a, r, B)
-                v1, v2 = n_r, n_rr - n_ar * n_ar / n_aa
+                _, slope, curvature = inner_max(B, r)
+                mid = maximize_a(B, r, 1e-12)[1]
                 up, down = (maximize_a(B, r + d, 1e-12)[1] for d in (h1, -h1))
-                assert abs(v1 - (up - down) / (2 * h1)) <= 1e-8
+                assert abs(float(slope) - (up - down) / (2 * h1)) <= 1e-8
                 up, down = (maximize_a(B, r + d, 1e-12)[1] for d in (h2, -h2))
-                assert abs(v2 - (up - 2 * mid + down) / (h2 * h2)) <= 1e-5 * max(1.0, abs(v2))
+                assert abs(float(curvature) - (up - 2 * mid + down) / (h2 * h2)) <= 1e-5 * max(1.0, abs(float(curvature)))
 
-    @given(st.integers(1, 40), st.floats(0.1, 10.0), st.floats(1e-6, 1.0 - 1e-6))
-    def test_concave(self, B, r, frac):
-        a = frac * min(1.0, 1.0 / r)
-        _, n_a, _, n_aa = optimize._objective(a, r, B)[:4]
-        assert math.isfinite(n_a)
-        assert n_aa <= 0.0
+    @given(st.integers(1, 40), st.floats(0.01, 50.0))
+    def test_slope_changes_sign_once(self, B, k):
+        # f' > 0 left of t* and < 0 right of it, the one sign change the root loop needs
+        assume(abs(k - 1.0) > 1e-6)
+        t_star = maximize_r(B, 1e-12).t_star
+        slope = optimize._folded(k * t_star, B)[0]
+        assert slope > 0.0 if k > 1.0 else slope < 0.0
 
 
 class TestNewtonMax:
-    # exp(-(a^2 + r^2)/2) has its maximum at 0; its Hessian is negative
-    # definite only inside the unit circle, and f_aa = 0 exactly at a = +-1
-    @staticmethod
-    def bump(a, r):
-        e = math.exp(-0.5 * (a * a + r * r))
-        return e, -a * e, -r * e, (a * a - 1.0) * e, a * r * e, (r * r - 1.0) * e
+    # _newton_root on h = -f' = atan(d) + 0.6 sin(d), d = t - C, for an f whose
+    # one maximum is at C < 0; |h| > 0.97 away from it, and h' < 0 near d = +-pi
+    C = -8.0
 
-    @staticmethod
-    def clip(a, r):
-        return (a, r) if -4.0 < a < 6.0 and -4.0 < r < 6.0 else None
+    @classmethod
+    def bump(cls, t):
+        d = t - cls.C
+        return math.atan(d) + 0.6 * math.sin(d), 1.0 / (1.0 + d * d) + 0.6 * math.cos(d)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12, 1e-300])
     @pytest.mark.parametrize("start", [1.0, -1.0, 3.0, -3.5, 0.95, 5.9])
     def test_safeguards_reach_the_maximum(self, start, eps):
-        # starts on f_aa = 0, in the tails where H is indefinite, and at
-        # (0.95, 0.1), where the Newton step lands at a = -9.9, outside the domain
+        # starts at C + start on both sides of C, two of them (3.0, -3.5) where
+        # h' < 0; eps = 1e-300 asks for h = 0 or a bracket that admits no new point
         calls = []
 
-        def F(a, r):
-            calls.append((a, r))
-            return self.bump(a, r)
+        def F(t):
+            calls.append(t)
+            return self.bump(t)
 
-        x, y, num = optimize._joint_newton(F, (start, 0.1), self.clip, eps)
-        assert max(abs(x[0]), abs(x[1])) <= eps
-        assert y == self.bump(*x)
-        assert x in calls and num == len(calls) < optimize._NEWTON_MAXFUN
-        assert all(self.clip(*c) for c in calls)
+        t, y, steps = _newton_root(F, self.C + start, eps)
+        assert abs(t - self.C) <= max(2 * eps, 2 * math.ulp(self.C))
+        assert calls[-1] == t and y == self.bump(t)
+        assert steps + 1 == len(calls) and steps < _MAX_ITER
+        assert all(c < 0.0 for c in calls)
 
     def test_non_finite_step_ends(self):
-        # an infinite step leaves the domain however far it is halved
-        def F(a, r):
-            return 0.0, math.inf, 1.0, -1.0, 0.0, -1.0
+        # h' = 0 makes every Newton step infinite: doubling finds t_lo, then
+        # bisection narrows the bracket on the jump of h at -3 until it admits
+        # no new point
+        def F(t):
+            return (1.0 if t > -3.0 else -1.0), 0.0
 
-        assert optimize._joint_newton(F, (0.5, 0.5), self.clip, 1e-8) == ((0.5, 0.5), F(0.5, 0.5), 1)
+        t, y, steps = _newton_root(F, -1.0, 1e-8)
+        assert abs(t + 3.0) <= math.ulp(3.0) and y == F(t)
+        assert steps < _MAX_ITER
+
+    @pytest.mark.parametrize("call", [lambda: maximize_r(5, 1e-10), lambda: maximize_a(5, 0.8, 1e-10)])
+    def test_step_cap_raises(self, monkeypatch, call):
+        # a search that the step cap ends short of eps reports no optimum
+        monkeypatch.setattr(ratefn, "_MAX_ITER", 1)
+        with pytest.raises(ArithmeticError, match="eps"):
+            call()
+
+
+class TestOneVariable:
+    @pytest.mark.parametrize("B", range(1, 41))
+    def test_closed_form_maximum(self, B):
+        # theta - 1 (the paper's N at (a*, r*)) is max f_B / log(2B+1): P_B
+        # changes sign across x* (1 +- 1e-12) in exact rationals, so t* is the
+        # maximum, where f_B in decimal is stationary to about 1e-24
+        rep = maximize_r(B, 1e-12)
+        x = Fraction(math.exp(rep.t_star))
+        assert P(x * (1 - Fraction(1, 10**12)), B) > 0 > P(x * (1 + Fraction(1, 10**12)), B)
+        top = dec_f(rep.t_star, B) / Decimal(2 * B + 1).ln()
+        assert abs(rep.theta_minus_1 - float(top)) <= 1e-15
+        assert abs(rep.r_star - 0.5 * float(dec_folded(rep.t_star, B)[0])) <= 1e-14 * rep.r_star
+        assert rep.grad_norm <= 1e-12 and rep.curvature < 0.0
+
+    def test_B1_closed_form(self):
+        rep = maximize_r(1, 1e-12)
+        assert abs(math.exp(rep.t_star) - (math.sqrt(3) - 1) / 2) <= 1e-15
+        assert rep.a_star == 1.0
+
+    @pytest.mark.parametrize("k", range(3, 16))
+    def test_large_B_deficit(self, k):
+        # f_B -> log 2 with deficit (1 + log 2B)/(2B) (1 + O(log B / B))
+        B = 10**k
+        rep = maximize_r(B, 1e-10)
+        assert rep.evaluations <= 40
+        assert rep.grad_norm <= 1e-10 and rep.curvature < 0.0
+        assert rep.theta_minus_1 < math.log(2) / math.log(2 * B + 1)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            deficit = Decimal(2).ln() - dec_f(rep.t_star, B)
+        assert abs(float(deficit) / ((1 + math.log(2 * B)) / (2 * B)) - 1.0) <= 0.01
+
+    @pytest.mark.parametrize("B", [10**20, 10**50, 10**100])
+    def test_past_float_resolution_of_x(self, B):
+        # x* = e^t* rounds to 1.0 here; the search runs in t and still converges
+        rep = maximize_r(B, 1e-10)
+        assert rep.evaluations <= 40
+        assert rep.grad_norm <= 1e-10 and rep.curvature < 0.0
+        assert 0.0 < rep.theta_minus_1 < 1.0
 
 
 class TestMaximizeA:
@@ -173,12 +279,21 @@ class TestMaximizeA:
             for r in (0.6, 0.805, 1.4):
                 top = min(1.0, 1.0 / r)
                 a_star, value = maximize_a(B, r, eps)
-                grid = max(optimize._objective(top * k / 4000, r, B)[0] for k in range(1, 4000))
+                grid = max(optimize._objective(top * k / 4000, r, B) for k in range(1, 4000))
                 assert value >= grid - 1e-12
                 assert value / math.log(2 * B + 1) == theta_objective(B, r, a_star).theta_minus_1
                 # these optima are interior, where the slope vanishes
                 assert 1e-6 < a_star < top - 1e-6
-                assert abs(optimize._objective(a_star, r, B)[1]) <= 1e-8
+                h = 1e-6
+                up, down = (optimize._objective(a_star + d, r, B) for d in (h, -h))
+                assert abs(up - down) / (2 * h) <= 1e-8
+
+    def test_value_is_I_minus_J(self):
+        # the inner maximum in closed form, in 50-digit decimal: tilted cells,
+        # and untilted ones (2r past the mean of |Y|) with I(2r, 2B) > 0 and = 0
+        for B, r in [(1, 0.2), (2, 0.3), (3, 0.6), (5, 0.805), (7, 1.4), (10, 0.05), (10, 3.0), (3, 2.0)]:
+            value = maximize_a(B, r, 1e-12)[1]
+            assert abs(value - float(inner_max(B, r)[0])) <= 1e-14
 
     def test_value_consistent_with_objective(self):
         # the search and the point evaluation share one numerator
@@ -217,13 +332,14 @@ class TestMaximizeR:
 
     def test_B1_optimum_on_the_face(self):
         # on a = 1 the a-terms are the entropy H(r, r, 1 - 2r), and with the
-        # closed form of I(2r, 2), N_r = 0 at r* = (3 - sqrt 3)/6
-        rep = maximize_r(1, 1e-10)
+        # closed form of I(2r, 2), N_r = 0 at r* = (3 - sqrt 3)/6; eps bounds
+        # |f'|, so eps = 1e-12 puts r* within about 1e-13
+        rep = maximize_r(1, 1e-12)
         assert rep.a_star == 1.0
         assert abs(rep.r_star - (3 - math.sqrt(3)) / 6) <= 1e-12
         assert round(rep.theta_minus_1, 6) == 0.130930
         assert rep.theta_minus_1 == theta_objective(1, rep.r_star, 1.0).theta_minus_1
-        a_star, value = maximize_a(1, rep.r_star, 1e-10)
+        a_star, value = maximize_a(1, rep.r_star, 1e-12)
         assert a_star == 1.0 and value / math.log(3) == rep.theta_minus_1
 
     @pytest.mark.parametrize(
@@ -244,35 +360,35 @@ class TestMaximizeR:
             assert maximize_r(B, 1e-10).theta_minus_1 < best
 
     def test_ends_at_tiny_eps(self):
-        # eps far below float spacing: the searches end on a step that would
-        # not move x or on a bracket that admits no new point
+        # eps far below float spacing: the search ends on a bracket that
+        # admits no new point, before the step cap
         rep = maximize_r(5, 1e-300)
-        assert rep.evaluations < optimize._NEWTON_MAXFUN
+        assert rep.evaluations <= _MAX_ITER
         assert abs(rep.theta_minus_1 - maximize_r(5, 1e-10).theta_minus_1) <= 1e-15
 
     def test_deterministic(self):
         assert maximize_r(6, 1e-8) == maximize_r(6, 1e-8)
 
     def test_evaluates_each_point_once(self, monkeypatch):
-        # (a*, r*) is a point the search evaluated, so it is not evaluated again,
-        # and evaluations counts every evaluation
+        # t* is a tilt the search evaluated, so it is not evaluated again,
+        # and evaluations counts every evaluation of f
         points = []
-        evaluate = optimize._objective
+        evaluate = optimize._folded
 
-        def counting(a, r, B):
-            points.append((a, r))
-            return evaluate(a, r, B)
+        def counting(t, B):
+            points.append(t)
+            return evaluate(t, B)
 
-        monkeypatch.setattr(optimize, "_objective", counting)
+        monkeypatch.setattr(optimize, "_folded", counting)
         rep = maximize_r(5, 1e-8)
-        assert (rep.a_star, rep.r_star) in points
+        assert rep.t_star in points
         assert len(points) == len(set(points)) == rep.evaluations
 
     @pytest.mark.parametrize("B, eps", [(100, 0.1), (1000, 0.1), (3000, 0.01)])
     def test_coarse_eps_reaches_interior_optimum(self, B, eps):
-        # a* ~ 0.5/r* lies below these eps: eps must not clip the a-range
+        # a* ~ 0.5/r* lies below these eps: eps only stops the search
         rep = maximize_r(B, eps)
-        assert rep.evaluations < optimize._NEWTON_MAXFUN
+        assert rep.evaluations <= _MAX_ITER
         assert rep.grad_norm <= eps
         assert abs(rep.theta_minus_1 - maximize_r(B, 1e-10).theta_minus_1) <= 1e-6
 
@@ -284,12 +400,12 @@ class TestMaximizeR:
 
     def test_large_B(self):
         # every tilt costs O(1), so B = 5001, whose numerator solves I(2r, 2B)
-        # at 2B = 10,002, runs like B = 5; the search starts near its r* = 271.2
+        # at 2B = 10,002, runs like B = 5, to its r* = 271.2
         B = 5001
         rep = maximize_r(B, 1e-4)
         assert 0.0 < rep.theta_minus_1 < 1.0
         assert rep.r_star > 2.0 and rep.grad_norm <= 1e-6 and rep.curvature < 0.0
-        assert rep.evaluations < optimize._NEWTON_MAXFUN
+        assert rep.evaluations <= _MAX_ITER
         _, value = maximize_a(B, rep.r_star, 1e-4)
         assert abs(value / math.log(2 * B + 1) - rep.theta_minus_1) <= 1e-6
         assert math.isfinite(theta_objective(B, 1.0, 0.5).theta_minus_1)
@@ -327,15 +443,11 @@ class TestTable1:
         # a guard on the search cost that needs no timing
         assert sum(cell.evaluations for row in table1() for cell in row) <= 250
 
-    def test_chained_columns_match_cold_searches(self):
-        # each later column starts from the previous column's optimum: that
-        # start must not carry a cell away from its own cold search
+    def test_cells_are_cold_searches(self):
+        # no cell starts from another's optimum
         for row in table1():
-            assert row[0] == maximize_r(row[0].B, row[0].epsilon)
-            for cell in row[1:]:
-                cold = maximize_r(cell.B, cell.epsilon)
-                assert abs(cell.theta_minus_1 - cold.theta_minus_1) < 1e-12
-                assert abs(cell.r_star - cold.r_star) < 10 * cell.epsilon
+            for cell in row:
+                assert cell == maximize_r(cell.B, cell.epsilon)
 
     def test_row_major_shape(self):
         rows = table1(eps_list=(1e-4, 1e-6), b_range=(1, 2))
@@ -353,7 +465,7 @@ class TestTable1:
 
 @pytest.mark.parametrize("eps", [0.0, -1e-4, math.inf, math.nan, 1.0])
 def test_entry_points_reject_eps_without_a_bracket(eps):
-    # eps bounds a step in a, which lies in (0, 1]: only 0 < eps < 1 is accepted
+    # only 0 < eps < 1 is accepted
     with pytest.raises(ValueError, match="eps"):
         maximize_a(5, 0.8, eps)
     with pytest.raises(ValueError, match="eps"):
@@ -388,6 +500,7 @@ def test_default_eps_columns_match_published_layout():
         "epsilon",
         "r_star",
         "a_star",
+        "t_star",
         "theta_minus_1",
         "evaluations",
         "grad_norm",
