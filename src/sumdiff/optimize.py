@@ -19,9 +19,9 @@ ratefn.DEFAULT_TOL whatever eps is, so the eps columns of the result table
 measure only the search.
 """
 import math
+import sys
 from typing import NamedTuple
 
-from . import ratefn
 from .ratefn import _check_B, _moments, _newton_root, _rate_value
 
 #: tolerance columns of the reference table
@@ -64,6 +64,12 @@ def _check_eps(eps) -> None:
         raise ValueError(f"eps must be a real in (0, 1), got {eps!r}")
 
 
+def _check_B_range(B) -> None:
+    _check_B(B)
+    if 2 * B * (2 * B + 2) > sys.float_info.max:  # as a float in the I(2r, 2B) solve
+        raise OverflowError(f"B is too large: 2B(2B + 2) overflows a float past B = {math.sqrt(sys.float_info.max) / 2:.3g}")
+
+
 def _check_r(r) -> None:
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be a positive finite real, got {r!r}")
@@ -71,7 +77,7 @@ def _check_r(r) -> None:
 
 def theta_objective(B: int, r: float, a: float) -> ThetaPoint:
     """Evaluate the bound at a single point (B, r, a), 0 < a < min(1, 1/r), or a = 1 at B = 1, r < 1."""
-    _check_B(B)
+    _check_B_range(B)
     _check_r(r)
     if not (0.0 < a < min(1.0, 1.0 / r) or a == 1.0 and B == 1 and r < 1.0):
         raise ValueError(f"a={a!r} outside (0, min(1, 1/r)), or a = 1 at B = 1, for r={r!r}")
@@ -126,14 +132,6 @@ def _folded(t: float, B: int) -> tuple[float, float, float, float, float]:
     return slope, curvature, 2.0 * p * (1.0 + m), 2.0 * p * (v + (1.0 + m) ** 2 * (e1 / A)), p
 
 
-def _root(F, t: float, eps: float) -> tuple[float, tuple, int]:
-    """_newton_root(F, t, eps), which raises ArithmeticError where the step cap ends it short of eps."""
-    t, y, steps = _newton_root(F, t, eps)
-    if steps == ratefn._MAX_ITER and not abs(y[0]) <= eps:
-        raise ArithmeticError(f"the search ended at its step cap, {steps} steps, with |h| = {abs(y[0])!r} > eps = {eps!r}")
-    return t, y, steps
-
-
 def maximize_a(B: int, r: float, eps: float) -> tuple[float, float]:
     """Maximize the bound numerator in a at fixed (B, r).
 
@@ -142,7 +140,7 @@ def maximize_a(B: int, r: float, eps: float) -> tuple[float, float]:
     the tilt where mean(|Y|) = 2r, to within eps; from
     2r >= B(B+1)/(2B+1), the untilted mean, a_star*r = B/(2B+1).
     """
-    _check_B(B)
+    _check_B_range(B)
     _check_r(r)
     _check_eps(eps)
     c = 2.0 * r
@@ -155,21 +153,21 @@ def maximize_a(B: int, r: float, eps: float) -> tuple[float, float]:
             return mean - c, var, mean, p
 
         # the tilt of the B -> inf law, whose mean at x = r/(1+r) is below 2r
-        _, (_, _, mean, p), _ = _root(F, math.log(r / (1.0 + r)), eps)
+        _, (_, _, mean, p), _ = _newton_root(F, -math.log1p(1.0 / r), eps)
         a = p / (0.5 * mean)
     return a, _objective(a, r, B)
 
 
 def maximize_r(B: int, eps: float) -> OptimizationReport:
     """Maximize the bound over (a, r) at tolerance eps: the root of f' in t, from t = -log(2B)/B."""
-    _check_B(B)
+    _check_B_range(B)
     _check_eps(eps)
 
     def F(t):
         slope, curvature, mean, _, p = _folded(t, B)
         return -slope, -curvature, mean, p
 
-    t, (h, dh, mean, p), steps = _root(F, -math.log(2 * B) / B, eps)
+    t, (h, dh, mean, p), steps = _newton_root(F, -math.log(2 * B) / B, eps)
     r, log_q = 0.5 * mean, math.log(2 * B + 1)
     point = theta_objective(B, r, p / r)
     return OptimizationReport(B, eps, r, point.a, t, point.theta_minus_1, steps + 1, abs(h) / log_q, -dh / log_q)

@@ -122,22 +122,24 @@ def _moments(t: float, B: int) -> tuple[float, float, float]:
     return mean, var, lmgf
 
 
-def _newton_root(F, t: float, target: float) -> tuple[float, tuple, int]:
+def _newton_root(F, t: float, eps: float) -> tuple[float, tuple, int]:
     """(t, F(t), steps) of a safeguarded Newton search for the root of h in t < 0.
 
     F(t) returns (h, h', ...), where h changes sign once on t < 0, from
     negative to positive; t = 0 is never evaluated.  Every evaluation
     tightens a bracket [t_lo, 0] around the root; a Newton step that leaves
     it, or that h' <= 0 leaves undefined, is replaced by bisection, or by
-    doubling t while t_lo is still -inf.  The search stops once |h| <=
-    target, once the bracket admits no new point, or after _MAX_ITER steps.
+    doubling t while t_lo is still -inf.  It stops once |h| <= eps or the
+    bracket admits no new point, and raises ArithmeticError at _MAX_ITER steps.
     """
     t_lo, t_hi, steps = -math.inf, 0.0, 0
     while True:
         y = F(t)
         h, dh = y[0], y[1]
-        if abs(h) <= target or steps == _MAX_ITER:
+        if abs(h) <= eps:
             break
+        if steps == _MAX_ITER:
+            raise ArithmeticError(f"the search ended at its step cap, {steps} steps, with |h| = {abs(h)!r} > eps = {eps!r}")
         if h < 0.0:
             t_lo = t
         else:

@@ -23,19 +23,7 @@ from sumdiff import (
 )
 from sumdiff.ratefn import DEFAULT_TOL
 
-# the eps = 1e-10 column of the published table (its fourth column), also
-# imported by test_optimize.py
-TABLE_COLUMN_1E10 = {
-    3: 0.168700179627163,
-    4: 0.172137890014121,
-    5: 0.173077279785136,
-    6: 0.172855932676998,
-    7: 0.172060243360376,
-    8: 0.170975345189401,
-    9: 0.169749936705623,
-    10: 0.168465310634737,
-}
-
+from oracles import PAPER_COLUMN, entropy
 
 def report(criterion, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
@@ -55,7 +43,7 @@ def test_criterion_1_table_reproduction(fine_table):
     worst = 0.0
     for row in rows:
         cell = row[1]
-        worst = max(worst, abs(cell.theta_minus_1 - TABLE_COLUMN_1E10[cell.B]))
+        worst = max(worst, abs(cell.theta_minus_1 - PAPER_COLUMN[cell.B]))
     report(
         "criterion 1 (table at eps=1e-10, B=3..10)",
         worst <= 1e-8,
@@ -120,9 +108,6 @@ def test_criterion_5_injectivity():
 
 
 def test_criterion_6_rate_function_exact_cases():
-    def entropy(c):
-        return -c * math.log(c) - (1 - c) * math.log(1 - c)
-
     worst_closed_form = max(
         abs(rate_I(RateQuery(0.05 * k, 1)).value - (math.log(2) - entropy(0.05 * k)))
         for k in range(1, 10)

@@ -238,22 +238,23 @@ def test_optimize_large_B_is_stationary(capsys, k):
 
 
 def test_optimize_step_cap_exit_2(capsys, monkeypatch):
-    # a search that the step cap ends short of eps prints no record
+    # a search or rate solve that the step cap ends short of eps prints no record
     monkeypatch.setattr(ratefn, "_MAX_ITER", 1)
-    code, out, err = run(capsys, "optimize", "--B", "5", "--eps", "1e-10")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "eps" in err
+    for argv in (("optimize", "--B", "5", "--eps", "1e-10"), ("rate", "--c", "1", "--B", "5")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "eps" in err
 
 
 @pytest.mark.parametrize(
     "argv",
     [("rate", "--c", "1", "--B", str(10**400)),
-     ("optimize", "--B", str(10**400), "--eps", "1e-4")],
-    ids=["rate --B 10^400", "optimize --B 10^400"],
+     *(("optimize", "--B", str(10**k), "--eps", "1e-4") for k in (160, 200, 400))],
+    ids=["rate --B 10^400", "optimize --B 10^160", "optimize --B 10^200", "optimize --B 10^400"],
 )
 def test_B_past_float_range_exit_2(capsys, argv):
-    # the rate solve takes B and B(B + 2) as floats: OverflowError, an ArithmeticError
+    # the rate solve takes B(B + 2) as a float, and optimize checks 2B(2B + 2) first: OverflowError
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -24,6 +24,8 @@ from sumdiff.construct import (
 )
 from sumdiff.wcount import EnumerationCapError, WParams, count_W, enumerate_W
 
+from oracles import full_pairs
+
 
 class TestEncodeG:
     @pytest.mark.parametrize(
@@ -103,9 +105,9 @@ class TestThetaBound:
         # brute-force over all pairs of U = g(W(2,2,1))
         U = build_U(WParams(2, 2, 1))
         rep = theta_bound_exact(U)
+        sums, diffs = full_pairs(U)
         assert rep.q == 2 * max(U) + 1 == 9
-        assert rep.d.exact == len({u - v for u in U for v in U})
-        assert rep.s.exact == len({u + v for u in U for v in U})
+        assert (rep.d.exact, rep.s.exact) == (len(diffs), len(sums))
         assert rep.theta == 1.0 + (math.log(rep.d.exact) - math.log(rep.s.exact)) / math.log(9)
 
     def test_pair_cap_checked_before_pairing(self, monkeypatch):
@@ -161,6 +163,8 @@ class TestCountedBound:
         counted, paired = theta_bound(p), theta_bound_exact(U)
         assert counted == paired
         assert counted.theta == paired.theta
+        # the exact sandwich |U - U| <= 2^m |U + U|
+        assert paired.d.exact <= 2**m * paired.s.exact
 
     def test_finite_m_bound_grows_past_alphaevolve(self):
         # B = 5 with L near 0.8m, the best L of a scan at each m
@@ -263,8 +267,7 @@ class TestInjectivity:
         p = WParams(3, 3, 2)
         vectors = enumerate_W(p)
         U = build_U(p)
-        vec_sums = {tuple(a + b for a, b in zip(x, y)) for x in vectors for y in vectors}
-        vec_diffs = {tuple(a - b for a, b in zip(x, y)) for x in vectors for y in vectors}
+        vec_sums, vec_diffs = full_pairs(vectors)
         assert len(sumset(U)) == len(vec_sums)
         assert len(diffset(U)) == len(vec_diffs)
 
@@ -284,11 +287,6 @@ def _colliding_g(x, B):
     # base 2B: injective on W, whose digits are at most B < 2B, but
     # not on W + W, where a digit may reach 2B and carry
     return sum(c * (2 * B) ** k for k, c in enumerate(x))
-
-
-def full_pairs(items):
-    """Independent oracle: the sum and difference sets over all |items|^2 pairs."""
-    return {u + v for u in items for v in items}, {u - v for u in items for v in items}
 
 
 class TestPairCounters:
@@ -314,8 +312,7 @@ class TestPairCounters:
     @example((enumerate_W(WParams(3, 3, 2)), 2))
     def test_packed_vectors_match_full_pair_sets(self, case):
         items, B = case
-        sums = {tuple(a + b for a, b in zip(x, y)) for x in items for y in items}
-        diffs = {tuple(a - b for a, b in zip(x, y)) for x in items for y in items}
+        sums, diffs = full_pairs(items)
         packed = _pack(items, B)
         assert len(_sums(packed)) == len(sums)
         # diffs is symmetric about the zero vector, which it holds once

@@ -17,7 +17,7 @@ from sumdiff.optimize import (
 )
 from sumdiff.ratefn import _MAX_ITER, DEFAULT_TOL, RateQuery, _newton_root, rate_I
 
-from test_acceptance import TABLE_COLUMN_1E10
+from oracles import DECIMAL, DIGITS50, P, PAPER_COLUMN, dec_f, folded, inner_max, law
 
 
 class TestThetaObjective:
@@ -59,75 +59,6 @@ class TestThetaObjective:
             theta_objective(5, -1.0, 0.5)
 
 
-def dec_f(t, B):
-    """Oracle: f_B(t) = log[(1 + x - 2x^(B+1)) / (1 - x^(2B+1))], x = e^t, in 50-digit decimal.
-
-    t is taken exactly (a float or a Decimal); each x^k is exp(k t).
-    """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        t = Decimal(t)
-        return ((1 + t.exp() - 2 * ((B + 1) * t).exp()) / (1 - ((2 * B + 1) * t).exp())).ln()
-
-
-def dec_folded(t, B):
-    """Oracle: (mean, variance, P(Y < 0)) of |Y|, Y uniform on {-B..B} tilted by e^(t|Y|), by direct sums."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        t = Decimal(t)
-        terms = [(k * t).exp() for k in range(B + 1)]
-        weights = [terms[0]] + [2 * e for e in terms[1:]]
-        s0 = sum(weights)
-        mean = sum(k * w for k, w in enumerate(weights)) / s0
-        var = sum(k * k * w for k, w in enumerate(weights)) / s0 - mean * mean
-        return mean, var, sum(terms[1:]) / s0
-
-
-def dec_rate(weights, c):
-    """Oracle: (rate, slope, curvature) in c of the law P(J = j) ~ weights[j] at mean c.
-
-    The rate sup_t (t c - log E e^(tJ)) is 0 from c >= E J; otherwise the
-    tilt, the slope, is found by bisection on the tilted mean to 1e-25, in
-    50-digit decimal, and the curvature is 1/Var there.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        c = Decimal(c)
-        total = sum(Decimal(w) for w in weights)
-
-        def moments(t):
-            terms = [w * (j * t).exp() for j, w in enumerate(weights)]
-            s0 = sum(terms)
-            mean = sum(j * e for j, e in enumerate(terms)) / s0
-            return mean, sum(j * j * e for j, e in enumerate(terms)) / s0 - mean * mean, (s0 / total).ln()
-
-        if c >= moments(Decimal(0))[0]:
-            return Decimal(0), Decimal(0), Decimal(0)
-        lo, hi = Decimal(-1), Decimal(0)
-        while moments(lo)[0] >= c:
-            lo *= 2
-        while hi - lo > Decimal("1e-25"):
-            mid = (lo + hi) / 2
-            if moments(mid)[0] < c:
-                lo = mid
-            else:
-                hi = mid
-        _, var, lmgf = moments(lo)
-        return lo * c - lmgf, lo, 1 / var
-
-
-def inner_max(B, r):
-    """Oracle: (I(2r, 2B) - J_B(2r), its slope in r, its curvature in r), from dec_rate."""
-    i, t_i, k_i = dec_rate([1] * (2 * B + 1), 2 * r)
-    j, t_j, k_j = dec_rate([1] + [2] * B, 2 * r)
-    return i - j, 2 * (t_i - t_j), 4 * (k_i - k_j)
-
-
-def P(x, B):
-    """The integer polynomial whose root in (0, 1) is x* = e^t*; positive below it."""
-    return 1 - 2 * (B + 1) * x**B + (2 * B + 1) * x ** (2 * B) + 2 * B * x ** (2 * B + 1) - 2 * B * x ** (3 * B + 1)
-
-
 class TestObjectiveDerivatives:
     def test_match_central_differences(self):
         # f' and f'' of _folded against 50-digit central differences of f, and
@@ -137,17 +68,18 @@ class TestObjectiveDerivatives:
             for xb in (0.9, 0.5, 1 / (2 * B + 2), 1e-3, 1e-6):
                 t = math.log(xb) / B
                 slope, curvature, mean, var, p = optimize._folded(t, B)
-                with localcontext() as ctx:
-                    ctx.prec = 50
+                with localcontext(DIGITS50):
                     T = Decimal(t)
                     h1, h2 = Decimal("1e-20") * abs(T), Decimal("1e-10") * abs(T)
                     d1 = (dec_f(T + h1, B) - dec_f(T - h1, B)) / (2 * h1)
                     d2 = (dec_f(T + h2, B) - 2 * dec_f(T, B) + dec_f(T - h2, B)) / (h2 * h2)
+                    if B <= 40:
+                        s_mean, s_var, _, p0 = law(folded(B), t, DECIMAL)
+                        oracle = s_mean, s_var, (1 - p0) / 2
                 # near t*, where f' is tiny, its error stays below 1e-15 at any B
                 assert abs(slope - float(d1)) <= 1e-14 * abs(float(d1)) + 1e-15
                 assert abs(curvature - float(d2)) <= 1e-12 * abs(float(d2))
                 if B <= 40:
-                    oracle = dec_folded(t, B)
                     for got, want in zip((mean, var, p), oracle):
                         assert abs(got - float(want)) <= 1e-14 * float(want)
 
@@ -212,9 +144,11 @@ class TestNewtonMax:
         assert abs(t + 3.0) <= math.ulp(3.0) and y == F(t)
         assert steps < _MAX_ITER
 
-    @pytest.mark.parametrize("call", [lambda: maximize_r(5, 1e-10), lambda: maximize_a(5, 0.8, 1e-10)])
+    @pytest.mark.parametrize(
+        "call", [lambda: maximize_r(5, 1e-10), lambda: maximize_a(5, 0.8, 1e-10), lambda: rate_I(RateQuery(1.0, 5))]
+    )
     def test_step_cap_raises(self, monkeypatch, call):
-        # a search that the step cap ends short of eps reports no optimum
+        # a search or rate solve that the step cap ends short of eps reports no result
         monkeypatch.setattr(ratefn, "_MAX_ITER", 1)
         with pytest.raises(ArithmeticError, match="eps"):
             call()
@@ -231,7 +165,9 @@ class TestOneVariable:
         assert P(x * (1 - Fraction(1, 10**12)), B) > 0 > P(x * (1 + Fraction(1, 10**12)), B)
         top = dec_f(rep.t_star, B) / Decimal(2 * B + 1).ln()
         assert abs(rep.theta_minus_1 - float(top)) <= 1e-15
-        assert abs(rep.r_star - 0.5 * float(dec_folded(rep.t_star, B)[0])) <= 1e-14 * rep.r_star
+        with localcontext(DIGITS50):
+            mean = law(folded(B), rep.t_star, DECIMAL)[0]
+        assert abs(rep.r_star - 0.5 * float(mean)) <= 1e-14 * rep.r_star
         assert rep.grad_norm <= 1e-12 and rep.curvature < 0.0
 
     def test_B1_closed_form(self):
@@ -247,8 +183,7 @@ class TestOneVariable:
         assert rep.evaluations <= 40
         assert rep.grad_norm <= 1e-10 and rep.curvature < 0.0
         assert rep.theta_minus_1 < math.log(2) / math.log(2 * B + 1)
-        with localcontext() as ctx:
-            ctx.prec = 50
+        with localcontext(DIGITS50):
             deficit = Decimal(2).ln() - dec_f(rep.t_star, B)
         assert abs(float(deficit) / ((1 + math.log(2 * B)) / (2 * B)) - 1.0) <= 0.01
 
@@ -266,6 +201,14 @@ class TestMaximizeA:
         a_star, value = maximize_a(1, 2.0, 1e-8)
         assert 0 < a_star < 0.5
         assert math.isfinite(value)
+
+    @pytest.mark.parametrize("B, r", [(10**20, 1e18), (10**100, 1e98), (10**153, 1e150)])
+    def test_huge_r_starts_below_zero_tilt(self, B, r):
+        # log(r/(1 + r)) rounds to the tilt 0 from r ~ 9e15, where _folded divides by zero, and
+        # -log1p(1/r) stays below it; near the B -> inf law a*r -> 1/2 and the value -> log 2
+        a_star, value = maximize_a(B, r, 1e-10)
+        assert abs(a_star * r - 0.5) <= 1e-12
+        assert abs(value - math.log(2)) <= 1e-13
 
     def test_tolerance_refinement(self):
         _, coarse = maximize_a(3, 1.0, 1e-6)
@@ -422,7 +365,7 @@ class TestTable1:
         for row in fine_columns:
             cell = row[1]
             assert cell.epsilon == 1e-10
-            assert abs(cell.theta_minus_1 - TABLE_COLUMN_1E10[cell.B]) < 1e-8
+            assert abs(cell.theta_minus_1 - PAPER_COLUMN[cell.B]) < 1e-8
 
     def test_argmax_is_B5_and_headline_bound(self, fine_columns):
         best = max((row[1] for row in fine_columns), key=lambda c: c.theta_minus_1)
@@ -492,17 +435,22 @@ def test_maximize_a_range_is_never_empty():
         assert math.isfinite(value)
 
 
+@pytest.mark.parametrize(
+    "call", [lambda B: maximize_r(B, 1e-4), lambda B: maximize_a(B, 1.0, 1e-4), lambda B: theta_objective(B, 1.0, 0.5)]
+)
+def test_B_past_float_range_raises_before_any_work(monkeypatch, call):
+    # 2B(2B + 2), taken as a float by the I(2r, 2B) solve, overflows past B ~ 6.7e153
+    call(6 * 10**153)
+    monkeypatch.setattr(optimize, "_folded", None)
+    monkeypatch.setattr(optimize, "_rate_value", None)
+    for B in (7 * 10**153, 10**160, 10**200):
+        with pytest.raises(OverflowError, match="too large.*6.7e\\+153"):
+            call(B)
+
+
 def test_default_eps_columns_match_published_layout():
     assert TABLE_EPS == (1e-4, 1e-6, 1e-8, 1e-10)
     assert DEFAULT_TOL == 1e-12
-    assert set(maximize_r(3, 1e-4)._asdict().keys()) == {
-        "B",
-        "epsilon",
-        "r_star",
-        "a_star",
-        "t_star",
-        "theta_minus_1",
-        "evaluations",
-        "grad_norm",
-        "curvature",
+    assert set(maximize_r(3, 1e-4)._asdict()) == {
+        "B", "epsilon", "r_star", "a_star", "t_star", "theta_minus_1", "evaluations", "grad_norm", "curvature"
     }

@@ -18,46 +18,7 @@ from sumdiff.ratefn import (
 )
 from sumdiff.wcount import log_count_rate
 
-
-def entropy(c):
-    return -c * math.log(c) - (1 - c) * math.log(1 - c)
-
-
-def sum_moments(t, B):
-    """Oracle: (mean, variance, log-MGF) of the tilted law by the direct sum over j = 0..B.
-
-    The max exponent max(0, B*t) is shifted out before exponentiating, so
-    the sums stay in range for any finite t, and each sum is rounded once
-    (math.fsum), so at B = 10^4 it is not off by the rounding of 10^4 steps.
-    """
-    shift = B * t if t > 0.0 else 0.0
-    terms = [math.exp(j * t - shift) for j in range(B + 1)]
-    s0 = math.fsum(terms)
-    mean = math.fsum(j * e for j, e in enumerate(terms)) / s0
-    s2 = math.fsum(j * j * e for j, e in enumerate(terms))
-    return mean, s2 / s0 - mean * mean, shift + math.log(s0) - math.log(B + 1)
-
-
-def bisect_rate(c, B, tol=DEFAULT_TOL):
-    """Oracle: I(c, B) for interior c by monotone bisection on sum_moments' mean.
-
-    The bracket's low end -2*log(B+1)/max(c, 0.01) is doubled until it
-    straddles the root, then the bracket is halved down to width tol in t.
-    """
-    t_lo = -2.0 * math.log(B + 1) / max(c, 0.01)
-    while sum_moments(t_lo, B)[0] >= c:
-        t_lo *= 2.0
-    t_hi = 0.0
-    while t_hi - t_lo > tol:
-        t_mid = 0.5 * (t_lo + t_hi)
-        if t_mid == t_lo or t_mid == t_hi:
-            break
-        if sum_moments(t_mid, B)[0] < c:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    t = 0.5 * (t_lo + t_hi)
-    return max(t * c - sum_moments(t, B)[2], 0.0)
+from oracles import bisect_rate, entropy, golden_max, law
 
 
 @st.composite
@@ -74,26 +35,6 @@ def interior_queries(draw):
         )
     )
     return c, B
-
-
-def golden_max(f, lo, hi, iters=200):
-    """Independent oracle: plain golden-section maximization, no parabolic steps."""
-    phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 class TestLogMgf:
@@ -164,7 +105,7 @@ class TestClosedForm:
     @example(40, 0.0)
     def test_matches_direct_sum(self, B, t):
         mean, var, lmgf = _moments(t, B)
-        s_mean, s_var, s_lmgf = sum_moments(t, B)
+        s_mean, s_var, s_lmgf, _ = law([1] * (B + 1), t)
         assert abs(mean - s_mean) <= 1e-13 * s_mean
         assert abs(lmgf - s_lmgf) <= 4e-15 * max(1.0, abs(s_lmgf))
         assert log_mgf(t, B) == lmgf
@@ -221,7 +162,7 @@ class TestRateI:
     def test_newton_matches_bisection_oracle(self, query):
         c, B = query
         res = rate_I(RateQuery(c, B))
-        oracle = bisect_rate(c, B)
+        oracle = bisect_rate([1] * (B + 1), c)[0]
         assert abs(res.value - oracle) <= 1e-14 * max(1.0, oracle)
         assert res.residual <= 10 * DEFAULT_TOL
         assert res.residual == abs(tilted_mean(res.t_star, B) - c)
@@ -255,11 +196,11 @@ class TestRateI:
             assert rate_I(RateQuery(B / 2 - 1e-3, B)).value <= 1e-5
 
     def test_dual_vs_direct(self):
-        # oracle: maximize t*c - log_mgf(t, B) directly over the bracket
+        # oracle: maximize t*c minus the direct sum's log-MGF over the bracket
         for c, B in [(0.3, 1), (0.4, 2), (1.1, 3), (0.07, 4), (2.3, 7), (4.0, 10)]:
             assert c < B / 2
             dual = rate_I(RateQuery(c, B)).value
-            _, direct = golden_max(lambda t: t * c - log_mgf(t, B), -2 * math.log(B + 1) / c, 0.0)
+            _, direct = golden_max(lambda t: t * c - law([1] * (B + 1), t)[2], -2 * math.log(B + 1) / c, 0.0)
             assert abs(dual - direct) < 1e-9
 
     @settings(max_examples=200)

@@ -1,5 +1,4 @@
 import math
-from itertools import accumulate, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,38 +16,7 @@ from sumdiff.wcount import (
     log_count_rate,
 )
 
-
-def brute_count(m, L, B):
-    """Independent oracle: full cartesian enumeration."""
-    return sum(1 for x in product(range(B + 1), repeat=m) if sum(x) <= L)
-
-
-def dp_count(m, L, B):
-    """Independent oracle: the coordinate-peeling recurrence.
-
-    count(i, l) = sum_{j=0}^{min(B,l)} count(i-1, l-j) with count(0, .) = 1,
-    one rolling row over l with window sums by prefix sums: O(m*L)
-    big-integer additions.
-    """
-    L = min(L, m * B)
-    row = [1] * (L + 1)
-    for _ in range(m):
-        prefix = list(accumulate(row))
-        row = [prefix[l] - (prefix[l - B - 1] if l > B else 0) for l in range(L + 1)]
-    return row[L]
-
-
-def ie_count(m, L, B):
-    """Independent oracle: inclusion-exclusion, each term by math.comb.
-
-    sum_k (-1)^k C(m, k) C(L - k(B+1) + m, m) over k <= min(m, L//(B+1)),
-    after L is saturated at m*B; no term is carried from another.
-    """
-    L = min(L, m * B)
-    return sum(
-        (-1) ** k * math.comb(m, k) * math.comb(L - k * (B + 1) + m, m)
-        for k in range(min(m, L // (B + 1)) + 1)
-    )
+from oracles import count_brute, count_row, pascal
 
 
 def block_steps(m, L, B):
@@ -58,14 +26,6 @@ def block_steps(m, L, B):
     L = min(L, m * B)
     width = m.bit_length() + min(m, B + 1) * (L + m).bit_length()
     return 1 if width > exactcount._WIDE_BITS else exactcount._BLOCK_BITS // width
-
-
-def pascal(m, k):
-    """Independent oracle for binomials: Pascal's recurrence."""
-    row = [1]
-    for _ in range(m):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k] if k <= m else 0
 
 
 class TestCountW:
@@ -88,7 +48,7 @@ class TestCountW:
             for L in range(9):
                 for B in range(4):
                     p = WParams(m, L, B)
-                    assert count_W(p).exact == brute_count(m, L, B), (m, L, B)
+                    assert count_W(p).exact == count_brute(m, L, B), (m, L, B)
 
     @settings(deadline=None)
     @given(st.integers(0, 60), st.integers(0, 200), st.integers(0, 12))
@@ -98,7 +58,7 @@ class TestCountW:
     @example(1200, 900, 5)
     @example(40, 3000, 200)  # B + 1 > m: the ratio runs over m factors
     def test_against_dp(self, m, L, B):
-        assert count_W(WParams(m, L, B)).exact == dp_count(m, L, B)
+        assert count_W(WParams(m, L, B)).exact == count_row(m, L, B)[L]
 
     def test_log_value_consistent(self):
         cv = count_W(WParams(6, 9, 3))
@@ -150,8 +110,9 @@ class TestBlockedCount:
         monkeypatch.setattr(exactcount, "_BLOCK_BITS", block_bits)
         names = ("0", "1", "g-1", "g", "g+1", "2g+1")
         reached = set()
+        row = count_row(m, m * B + 2, B)
         for L in range(m * B + 3):
-            assert exactcount._count(m, L, B) == ie_count(m, L, B), (m, L, B)
+            assert exactcount._count(m, L, B) == row[L], (m, L, B)
             K = min(m, L // (B + 1))
             g = block_steps(m, L, B)
             # K at and around a block's end; odd and even K come with every K
@@ -162,7 +123,7 @@ class TestBlockedCount:
     def test_several_blocks_against_dp(self):
         m, L, B = 1000, 2000, 3
         assert min(m, L // (B + 1)) > 5 * block_steps(m, L, B) > 5
-        assert exactcount._count(m, L, B) == dp_count(m, L, B)
+        assert exactcount._count(m, L, B) == count_row(m, L, B)[L]
 
     @pytest.mark.parametrize("m, L, B", [
         (40, 3000, 200),  # a ratio too wide to block
@@ -170,7 +131,7 @@ class TestBlockedCount:
     ])
     def test_one_step_a_block(self, m, L, B):
         assert block_steps(m, L, B) == 1
-        assert exactcount._count(m, L, B) == ie_count(m, L, B)
+        assert exactcount._count(m, L, B) == count_row(m, L, B)[L]
 
 
 class TestWorkLimit:
