@@ -10,7 +10,9 @@ U = g(W(m,L,B)) equal lattice counts:
 
 ``theta_bound`` certifies the exponent bound of U from these counts and a
 greedy fill of the top digits for max U, without building U or forming a
-pair.  The brute-force path (``build_U``, ``sumset``, ``diffset``,
+pair; it refuses at once a q = 2*max(U) + 1 of more than ``MAX_Q_DIGITS``
+decimal digits, since printing it takes time quadratic in them.  The
+brute-force path (``build_U``, ``sumset``, ``diffset``,
 ``theta_bound_exact``) is its oracle: it enumerates U and forms its pairs,
 with |U|^2 held to the enumeration cap before any pair is formed.
 ``verify_triple`` checks both identities and the injectivity of g at desk
@@ -24,9 +26,9 @@ x_j - x_i is the negation of x_i - x_j.
 import math
 from itertools import combinations_with_replacement, pairwise, starmap
 from operator import add, sub
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .exactcount import MAX_COUNT_WORK, _count, _count_work
+from .exactcount import _check_work, _count
 from .wcount import (
     CountValue,
     LatticeVector,
@@ -164,17 +166,20 @@ def diff_count(p: WParams) -> CountValue:
 
     over the number k of negative coordinates of a difference vector: their
     magnitudes less 1 each form a member of W(k, L-k, B-1), and the other m-k
-    coordinates a member of W(m-k, L, B).
+    coordinates a member of W(m-k, L, B).  ``exactcount._check_work``
+    checks these 2(min(m, L) + 1) counts together before any starts.
     """
     if p.B < 1:
         raise ValueError("the convolution formula needs B >= 1")
-    return CountValue.of(sum(math.comb(p.m, k) * _count(*neg) * _count(*rest) for k, neg, rest in _convolution(p)))
+    counts = _convolution(p)
+    _check_work(counts)
+    pairs = zip(counts[::2], counts[1::2])
+    return CountValue.of(sum(math.comb(p.m, neg.m) * _count(*neg) * _count(*rest) for neg, rest in pairs))
 
 
-def _convolution(p: WParams) -> Iterator[tuple[int, WParams, WParams]]:
-    # each term of diff_count's convolution: k and the two counted triples
-    for k in range(min(p.m, p.L) + 1):
-        yield k, WParams(k, p.L - k, p.B - 1), WParams(p.m - k, p.L, p.B)
+def _convolution(p: WParams) -> list[WParams]:
+    """The triples of diff_count's convolution, W(k, L-k, B-1) then W(m-k, L, B) for each k."""
+    return [q for k in range(min(p.m, p.L) + 1) for q in (WParams(k, p.L - k, p.B - 1), WParams(p.m - k, p.L, p.B))]
 
 
 def _doubled(p: WParams) -> WParams:
@@ -201,28 +206,14 @@ def max_U(p: WParams) -> int:
     return value
 
 
-def _check_work(p: WParams) -> None:
-    """Refuse p when ``theta_bound``'s exact counts together -- |U|, |U+U|
-    and the 2(min(m, L) + 1) of the |U-U| convolution -- are estimated by
-    ``exactcount._count_work`` at more than ``exactcount.MAX_COUNT_WORK``."""
-    work = _count_work(*p) + _count_work(*_doubled(p))
-    for _, neg, rest in _convolution(p):
-        work += _count_work(*neg) + _count_work(*rest)
-        if work > MAX_COUNT_WORK:
-            raise ValueError(
-                f"the counted bound's {2 * min(p.m, p.L) + 4} exact counts are estimated "
-                f"at more than the limit of {MAX_COUNT_WORK:.3g} units of work"
-            )
-
-
 def theta_bound(p: WParams) -> BoundReport:
     """The exponent bound of U = g(W(m, L, B)) from exact counts alone.
 
     Equal, field for field and bit for bit in theta, to
     ``theta_bound_exact(build_U(p))``, with no set built and no pair formed.
     Raises ``ValueError`` before counting when m*log10(2B+1) exceeds
-    ``MAX_Q_DIGITS`` or its counts' estimated work exceeds
-    ``exactcount.MAX_COUNT_WORK``.
+    ``MAX_Q_DIGITS`` or ``exactcount._check_work`` refuses its counts
+    together: |U|, |U+U| and the |U-U| convolution's.
     """
     if min(p) < 1:  # then max U = 0
         raise ValueError("U = {0} has no meaningful scale (log q = 0)")
@@ -232,7 +223,7 @@ def theta_bound(p: WParams) -> BoundReport:
             f"m*log10(2B+1) = {digits:.0f} exceeds the counted bound's limit of "
             f"{MAX_Q_DIGITS} decimal digits of q"
         )
-    _check_work(p)
+    _check_work([p, _doubled(p), *_convolution(p)])
     return _report(
         count_W(p).exact,
         diff_count(p).exact,

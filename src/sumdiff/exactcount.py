@@ -5,12 +5,15 @@ coordinates that exceed B.  ``_count`` sums its terms swept down from the
 last, in blocks with one pair of big-integer divisions a block and as many
 steps a block as the width of a ratio factor allows (one, past
 ``_WIDE_BITS``); ``_count_work`` estimates that work in O(1) float
-arithmetic, and a count past ``MAX_COUNT_WORK`` is refused before it
-starts.  Kept apart from ``wcount`` so that each module compiles on its
-own: a cold ``count`` with no cached bytecode compiles both, and its peak
-memory is the larger compile's, not their sum.
+arithmetic.  The work limit lives here alone: ``_check_work`` refuses a
+batch of counts -- one in ``_count``, a bound's or a convolution's in
+``construct`` -- whose estimates sum past ``MAX_COUNT_WORK``, at O(1) a count.
+Kept apart from ``wcount`` so that each module compiles on its own: a cold
+``count`` with no cached bytecode compiles both, and its peak memory is the
+larger compile's, not their sum.
 """
 import math
+from collections.abc import Sequence
 
 
 #: bit budget of a block's divisor, the product of its ratio denominators
@@ -20,8 +23,8 @@ _BLOCK_BITS = 1024
 #: divisor costs more than it saves
 _WIDE_BITS = 128
 
-#: largest ``_count_work`` of one count, or of ``construct.theta_bound``'s
-#: counts together: 8-26 s at the 0.5-1.7 ns a unit measured
+#: largest ``_count_work`` of the counts that ``_check_work`` is given
+#: together: 8-26 s at the 0.5-1.7 ns a unit measured
 MAX_COUNT_WORK = 15_000_000_000
 
 
@@ -47,6 +50,28 @@ def _count_work(m: int, L: int, B: int) -> float:
     return start * start / 32 + K * bits * max(1.0, width / _WIDE_BITS)
 
 
+def _check_work(triples: Sequence[tuple[int, int, int]]) -> None:
+    """Raise ``ValueError`` when the counts of the triples (m, L, B) are
+    estimated by ``_count_work`` at more than ``MAX_COUNT_WORK`` together.
+
+    With L saturated at m*B, z = m*bits(L+m) bounds K, the ratio width and
+    the bits of every term by 2z, as C(m, k) < 2^m and C(n, m) <= (L+m)^m:
+    each estimate is below z^3, so a batch whose z^3 sum is within the
+    limit skips the estimates.
+    """
+    z3 = 0  # a loop, not sum() over a generator: a third cheaper on one tiny count
+    for m, L, B in triples:
+        z3 += (m * (min(L, m * B) + m).bit_length()) ** 3
+    if z3 <= MAX_COUNT_WORK:
+        return
+    work = 0.0
+    for p in triples:
+        work += _count_work(*p)
+        if work > MAX_COUNT_WORK:
+            counts = f"the count of W{tuple(p)}" if len(triples) == 1 else f"{len(triples)} exact counts"
+            raise ValueError(f"{counts}: estimated at more than the limit of {MAX_COUNT_WORK:.3g} units of work")
+
+
 def _count(m: int, L: int, B: int) -> int:
     """|W(m, L, B)| by inclusion-exclusion over the coordinates above B.
 
@@ -57,20 +82,10 @@ def _count(m: int, L: int, B: int) -> int:
     the bits that bound every ratio factor, so a block's ratio denominators
     multiply to under ``_BLOCK_BITS`` bits and it divides the big terms
     twice, not once a step; past ``_WIDE_BITS`` of width a block is one
-    step.  Raises ``ValueError`` before counting when ``_count_work``
-    exceeds ``MAX_COUNT_WORK``.
+    step.  Refused by ``_check_work`` before counting.
     """
+    _check_work(((m, L, B),))
     L = min(L, m * B)
-    # z bounds K, the ratio width and the bits of every term by 2z, as
-    # C(m, k) < 2^m and C(n, m) <= (L+m)^m: the estimate is below z^3
-    z = m * (L + m).bit_length()
-    if z * z * z > MAX_COUNT_WORK:
-        work = _count_work(m, L, B)
-        if work > MAX_COUNT_WORK:
-            raise ValueError(
-                f"the count of W{(m, L, B)} is estimated at {work:.3g} units of work, "
-                f"past the limit of {MAX_COUNT_WORK:.3g}"
-            )
     s = B + 1
     K = min(m, L // s)
     if not K:

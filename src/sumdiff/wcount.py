@@ -4,24 +4,21 @@ W(m, L, B) is the set of vectors x in N^m with every coordinate <= B and
 coordinate sum <= L; V(m, L) = W(m, L, L) is the unbounded special case with
 |V(m, L)| = C(m+L, m).  Counts are exact arbitrary-precision integers, by
 inclusion-exclusion over the coordinates that exceed B (``exactcount``); the
-finite-m growth rate is the logarithm of the same count.
+finite-m growth rate is the logarithm of the same count.  ``ENUM_CAP`` holds
+every enumeration to 10^7 coordinates, or pairs, checked before anything is
+built: in O(1) on a lower bound of |W|, then on the exact count.
 """
 import math
 from typing import Iterator, NamedTuple
 
-from .exactcount import MAX_COUNT_WORK, _count, _count_work, _log2_comb
+from .exactcount import _count, _log2_comb
 
 #: coordinate vector of a lattice point
 LatticeVector = tuple[int, ...]
 
-#: the most vectors, or pairs, that any enumeration builds; read at call time
-#: in this module alone, so a test patches this one name
+#: the most coordinates, or pairs, that any enumeration builds; read at call
+#: time in this module alone, so a test patches this one name
 ENUM_CAP = 10_000_000
-
-#: ``_check_cap`` refuses past the cap on a lower bound of |W| alone once the
-#: exact count is estimated at more than this (about 0.1-0.25 s); below it the
-#: refusal names the exact count
-_EXACT_REFUSAL_WORK = MAX_COUNT_WORK // 100
 
 
 class EnumerationCapError(ValueError):
@@ -29,8 +26,7 @@ class EnumerationCapError(ValueError):
 
     ``cap`` is ``ENUM_CAP`` as it stood when raised.  ``count`` is exact, or
     a lower bound when ``exact`` is false; the message gives a count of more
-    than 64 bits by its number of bits, since an exact count may be too long
-    to print.
+    than 64 bits by its number of bits, since it may be too long to print.
     """
 
     def __init__(self, count: int, what: str = "vectors", exact: bool = True):
@@ -114,25 +110,22 @@ def _refuse_past_cap(n: int, what: str, exact: bool = True) -> None:
         raise EnumerationCapError(n, what, exact)
 
 
-def _check_cap(p: WParams, power: int = 1, what: str = "vectors") -> None:
-    """Refuse |W(m, L, B)|**power past ``ENUM_CAP``.
+def _check_cap(p: WParams, power: int, what: str, per: int = 1) -> None:
+    """Refuse per * |W(m, L, B)|**power past ``ENUM_CAP``.
 
-    Checked against the exact count, or, when that count would cost more
-    than ``_EXACT_REFUSAL_WORK`` (but not past ``MAX_COUNT_WORK``, which
-    ``_count`` refuses as such), first against ``_log2_lower``.
+    Checked first, in O(1), on ``_log2_lower``, then on the exact count,
+    which is cheap once the bound passes: at most 10^4 units of estimated
+    work over m <= 10^8, L <= 10^12 and B <= 10^15.
     """
-    if _EXACT_REFUSAL_WORK < _count_work(*p) <= MAX_COUNT_WORK:
-        # a bit of margin for the floats
-        _refuse_past_cap(1 << power * max(0, math.floor(_log2_lower(p)) - 1), what, exact=False)
-    _refuse_past_cap(_count(p.m, p.L, p.B) ** power, what)
+    # a bit of margin for the floats
+    _refuse_past_cap(per << power * max(0, math.floor(_log2_lower(p)) - 1), what, exact=False)
+    _refuse_past_cap(per * _count(p.m, p.L, p.B) ** power, what)
 
 
 def enumerate_W(p: WParams) -> list[LatticeVector]:
-    """All members of W(m, L, B) in lexicographic order.
-
-    ``ENUM_CAP`` is checked by ``_check_cap`` before any vector is built.
-    """
-    _check_cap(p)
+    """All members of W(m, L, B) in lexicographic order, with their
+    max(m, 1)|W| coordinates held to ``ENUM_CAP`` before any is built."""
+    _check_cap(p, 1, "coordinates", max(p.m, 1))
     return list(_vectors(p.m, p.L, p.B))
 
 

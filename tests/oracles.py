@@ -1,4 +1,5 @@
-"""The references the tests compare the program against, each written once.
+"""The references the tests compare the program against, each written once,
+and the one fault they plant in it, ``colliding_g``.
 
 Two rules keep an oracle from sharing the bug it should catch: this module
 imports only the standard library, nothing from sumdiff, and no oracle uses
@@ -138,6 +139,12 @@ def pascal(m, k):
     for _ in range(m):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[k] if k <= m else 0
+
+
+def colliding_g(x, B):
+    """x in base 2B, in place of the digit map's 2B + 1: injective on W, whose digits
+    are at most B < 2B, but not on W + W, where a digit may reach 2B and carry."""
+    return sum(c * (2 * B) ** k for k, c in enumerate(x))
 
 
 def full_pairs(items):

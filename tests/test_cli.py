@@ -16,6 +16,8 @@ from sumdiff.cli import main
 from sumdiff.ratefn import RateResult
 from sumdiff.wcount import CountValue
 
+from oracles import colliding_g
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -96,7 +98,7 @@ def test_verify_passes(capsys):
 
 def test_verify_fails_exit_1(capsys, monkeypatch):
     # base 2B in place of 2B + 1: (2, 0) and (0, 1) of W + W collide at 2
-    monkeypatch.setattr(construct, "encode_g", lambda x, B: sum(c * (2 * B) ** k for k, c in enumerate(x)))
+    monkeypatch.setattr(construct, "encode_g", colliding_g)
     code, out, _ = run(capsys, "verify", "--max-m", "2", "--max-L", "2", "--max-B", "1")
     assert code == 1
     results = json.loads(out)["results"]
@@ -379,11 +381,33 @@ def test_count_refuses_past_work_limit_exit_2(capsys, monkeypatch):
 
     monkeypatch.setattr(math, "comb", no_call)
     monkeypatch.setattr(math, "perm", no_call)
-    for argv in (("count",), ("enumerate",)):
+    # enumerate is refused by the cap, on its lower bound, before the work limit
+    for argv, reason in ((("count",), "units of work"), (("enumerate",), "exceeds the cap")):
         code, out, err = run(capsys, *argv, "--m", "1000000", "--L", "1000000", "--B", "3")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "units of work" in err
+        assert err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize("m, L, B", [(8000, 1, 1), (7, 63, 9)])
+def test_enumerate_refuses_past_coordinate_cap_exit_2(capsys, monkeypatch, m, L, B):
+    # m * |W| coordinates: 8000 * 8001, and 7 * 10^7, about 8 GB as tuples;
+    # the first ran out of memory under a 1.5 GiB address space and exited 1
+    def no_call(*args):
+        raise AssertionError("built vectors past the cap")
+
+    monkeypatch.setattr(wcount, "_vectors", no_call)
+    code, out, err = run(capsys, "enumerate", "--m", str(m), "--L", str(L), "--B", str(B))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "coordinates exceeds the cap of 10000000" in err
+
+
+def test_enumerate_accepts_the_certificate_sets(capsys):
+    # the certificate benchmark's largest enumeration: 6 * 3003 coordinates
+    code, record = run_json(capsys, "enumerate", "--m", "6", "--L", "8", "--B", "17")
+    assert code == 0
+    assert record["results"]["count"] == 3003
 
 
 def test_enumerate_refuses_far_past_cap_before_counting_exit_2(capsys, monkeypatch):

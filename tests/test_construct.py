@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumdiff import construct, wcount
+from sumdiff import construct, exactcount, wcount
 from sumdiff.construct import (
     _low_diffs,
     _pack,
     _sums,
     build_U,
+    diff_count,
     diffset,
     encode_g,
     max_U,
@@ -22,9 +23,9 @@ from sumdiff.construct import (
     verify_sumset_identity,
     verify_triple,
 )
-from sumdiff.wcount import EnumerationCapError, WParams, count_W, enumerate_W
+from sumdiff.wcount import CountValue, EnumerationCapError, WParams, count_W, enumerate_W
 
-from oracles import full_pairs
+from oracles import colliding_g, full_pairs
 
 
 class TestEncodeG:
@@ -196,12 +197,33 @@ class TestWorkLimit:
             theta_bound(p)
 
     def test_baseline_accepted(self, monkeypatch):
-        # bound --m 4000 --L 3220 --B 5 runs in seconds, not minutes: it stays accepted
-        construct._check_work(WParams(4000, 3220, 5))
-        construct._check_work(WParams(1000, 805, 5))
-        monkeypatch.setattr(construct, "MAX_COUNT_WORK", 1e9)
+        # bound --m 4000 --L 3220 --B 5 runs in seconds, not minutes: it stays
+        # accepted; the counts are stubbed, so only the work check runs
+        monkeypatch.setattr(construct, "count_W", lambda p: CountValue.of(1))
+        monkeypatch.setattr(construct, "diff_count", lambda p: CountValue.of(1))
+        monkeypatch.setattr(construct, "max_U", lambda p: 1)
+        theta_bound(WParams(4000, 3220, 5))
+        theta_bound(WParams(1000, 805, 5))
+        monkeypatch.setattr(exactcount, "MAX_COUNT_WORK", 1e9)
         with pytest.raises(ValueError, match="3204 exact counts"):
-            construct._check_work(WParams(2000, 1600, 5))
+            theta_bound(WParams(2000, 1600, 5))
+
+    def test_diff_count_refused_before_counting(self, monkeypatch):
+        # no one of its 8,002 counts is estimated past 1.5e7 units, but together they are at 4.5e10
+        def no_call(*args):
+            raise AssertionError("counted past the work limit")
+
+        monkeypatch.setattr(construct, "_count", no_call)
+        with pytest.raises(ValueError, match="8002 exact counts: .* units of work"):
+            diff_count(WParams(4000, 8000, 5))
+
+    def test_diff_count_on_the_verify_grid(self):
+        # against every pair of U; test_matches_brute_force has the certificate triples
+        for m in range(5):
+            for L in range(6):
+                for B in range(1, 4):
+                    p = WParams(m, L, B)
+                    assert diff_count(p).exact == len(full_pairs(build_U(p))[1])
 
 
 class TestIdentities:
@@ -283,12 +305,6 @@ packable = st.tuples(st.integers(1, 5), st.integers(0, 3)).flatmap(
 )
 
 
-def _colliding_g(x, B):
-    # base 2B: injective on W, whose digits are at most B < 2B, but
-    # not on W + W, where a digit may reach 2B and carry
-    return sum(c * (2 * B) ** k for k, c in enumerate(x))
-
-
 class TestPairCounters:
     """The i <= j counters behind the pair sets and the verify checks, against full-pair oracles."""
 
@@ -327,7 +343,7 @@ class TestPairCounters:
         assert len({hash(v) for v in sums}) == 5151
 
     def test_checks_fail_on_a_colliding_map(self, monkeypatch):
-        monkeypatch.setattr(construct, "encode_g", _colliding_g)
+        monkeypatch.setattr(construct, "encode_g", colliding_g)
         p = WParams(2, 2, 1)
         assert not verify_injectivity(p, "g")
         assert not verify_sumset_identity(p)

@@ -238,14 +238,6 @@ class TestMaximizeA:
             value = maximize_a(B, r, 1e-12)[1]
             assert abs(value - float(inner_max(B, r)[0])) <= 1e-14
 
-    def test_value_consistent_with_objective(self):
-        # the search and the point evaluation share one numerator
-        r, eps = 0.805, 1e-10
-        for B in range(3, 11):
-            a_star, value = maximize_a(B, r, eps)
-            point = theta_objective(B, r, a_star)
-            assert value / math.log(2 * B + 1) == point.theta_minus_1
-
 
 class TestMaximizeR:
     def test_reference_cells(self):

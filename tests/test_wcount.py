@@ -147,7 +147,7 @@ class TestWorkLimit:
 
     @pytest.mark.parametrize("call", [
         lambda: count_W(WParams(10**6, 10**6, 3)),
-        lambda: enumerate_W(WParams(10**6, 10**6, 3)),
+        lambda: log_count_rate(10**6, 2.0, 3),
         lambda: log_count_rate(10**6, 1.0, 3),
         lambda: count_W(WParams(40_000, 10**6, 10_000)),  # 99 steps, but wide ratios
         lambda: count_W(WParams(10**6, 10**6, 10**6)),  # no step: K = 0
@@ -198,6 +198,14 @@ class TestBinomial:
         assert prefix == count_W(WParams(m, k, 1)).exact
 
 
+def _no_call(*args):
+    raise AssertionError("counted exactly past the cap")
+
+
+def _log_uniform(top: float):
+    return st.one_of(st.integers(0, 400), st.floats(0, math.log10(top)).map(lambda e: round(10**e)))
+
+
 class TestEnumerateW:
     def test_golden(self):
         assert enumerate_W(WParams(2, 1, 1)) == [(0, 0), (0, 1), (1, 0)]
@@ -212,13 +220,17 @@ class TestEnumerateW:
             assert all(len(v) == m and sum(v) <= L and max(v, default=0) <= B for v in vs)
 
     def test_cap_error_gives_a_long_count_by_its_bits(self, monkeypatch):
-        # |W(9000, 9000, 3)| has 5,017 digits, past the 4,300 that str() converts
-        # by default
-        with pytest.raises(EnumerationCapError) as exc:
+        # the cube {0, 1}^9000 in W(9000, 9000, 3): at least 9000 * 2^8999
+        # coordinates, refused with no exact count
+        with monkeypatch.context() as patched, pytest.raises(EnumerationCapError) as exc:
+            patched.setattr(wcount, "_count", _no_call)
             enumerate_W(WParams(9000, 9000, 3))
-        assert exc.value.count == count_W(WParams(9000, 9000, 3)).exact
-        assert exc.value.count.bit_length() == 16_665
+        assert (exc.value.count, exc.value.exact) == (9000 << 8999, False)
         assert str(exc.value) == (
+            "enumeration of at least a 9,013-bit number of coordinates exceeds the cap of 10000000"
+        )
+        # |W(9000, 9000, 3)| has 5,017 digits, past the 4,300 that str() converts by default
+        assert str(EnumerationCapError(count_W(WParams(9000, 9000, 3)).exact)) == (
             "enumeration of a 16,665-bit number of vectors exceeds the cap of 10000000"
         )
         monkeypatch.setattr(wcount, "ENUM_CAP", 5)
@@ -234,13 +246,30 @@ class TestEnumerateW:
                     p = WParams(m, L, B)
                     assert wcount._log2_lower(p) <= math.log2(count_W(p).exact) + 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(_log_uniform(1e8), _log_uniform(1e12), _log_uniform(1e15), st.sampled_from([1, 2]))
+    @example(24, 47, 2, 1)  # the largest estimate found, 596 units
+    def test_an_exact_count_past_the_lower_bound_is_cheap(self, m, L, B, power):
+        # per = 1 lets the most through, so this covers enumerate_W's max(m, 1) too
+        try:
+            wcount._check_cap(WParams(m, L, B), power, "vectors")
+        except EnumerationCapError as exc:
+            if not exc.exact:
+                return  # refused on the lower bound, with no exact count
+        assert exactcount._count_work(m, L, B) <= 1e4
+
     def test_cap_error_names_cap_and_count(self, monkeypatch):
         monkeypatch.setattr(wcount, "ENUM_CAP", 100)
+        # on the lower bound: W(10, 20, 3) holds the cube {0, 1, 2}^10, over 10 * 2^14 coordinates
         with pytest.raises(EnumerationCapError) as exc:
             enumerate_W(WParams(10, 20, 3))
-        assert exc.value.cap == 100
-        assert exc.value.count == count_W(WParams(10, 20, 3)).exact
-        assert "100" in str(exc.value)
+        assert (exc.value.cap, exc.value.count, exc.value.exact) == (100, 10 << 14, False)
+        assert str(exc.value) == "enumeration of at least 163840 coordinates exceeds the cap of 100"
+        # on the exact count: the bound, 2 * 2^5, passes, and 2 * |W(2, 20, 9)| = 200 does not
+        with pytest.raises(EnumerationCapError) as exc:
+            enumerate_W(WParams(2, 20, 9))
+        assert (exc.value.cap, exc.value.count, exc.value.exact) == (100, 200, True)
+        assert str(exc.value) == "enumeration of 200 coordinates exceeds the cap of 100"
 
 
 class TestLogCountRate:
