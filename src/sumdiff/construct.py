@@ -224,12 +224,7 @@ def theta_bound(p: WParams) -> BoundReport:
             f"{MAX_Q_DIGITS} decimal digits of q"
         )
     _check_work([p, _doubled(p), *_convolution(p)])
-    return _report(
-        count_W(p).exact,
-        diff_count(p).exact,
-        count_W(_doubled(p)).exact,
-        2 * max_U(p) + 1,
-    )
+    return _report(count_W(p).exact, diff_count(p).exact, count_W(_doubled(p)).exact, 2 * max_U(p) + 1)
 
 
 def verify_triple(p: WParams) -> tuple[bool, bool, bool]:

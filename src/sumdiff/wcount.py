@@ -25,17 +25,20 @@ class EnumerationCapError(ValueError):
     """Raised when an enumeration would exceed ``ENUM_CAP``.
 
     ``cap`` is ``ENUM_CAP`` as it stood when raised.  ``count`` is exact, or
-    a lower bound when ``exact`` is false; the message gives a count of more
-    than 64 bits by its number of bits, since it may be too long to print.
+    a lower bound when ``exact`` is false, held as ``count << shift`` until
+    read: a bound of |W| may have as many bits as W's vectors have
+    coordinates.  The message gives a count past 64 bits by its bits.
     """
 
-    def __init__(self, count: int, what: str = "vectors", exact: bool = True):
-        self.count = count
+    def __init__(self, count: int, what: str = "vectors", exact: bool = True, shift: int = 0):
+        self._count, self._shift = count, shift
         self.cap = ENUM_CAP
         self.exact = exact
-        bits = count.bit_length()
-        shown = str(count) if bits <= 64 else f"a {bits:,}-bit number of"
+        bits = count.bit_length() + shift if count else 0
+        shown = str(self.count) if bits <= 64 else f"a {bits:,}-bit number of"
         super().__init__(f"enumeration of {'' if exact else 'at least '}{shown} {what} exceeds the cap of {self.cap}")
+
+    count = property(lambda self: self._count << self._shift)
 
 
 class WParams(NamedTuple("WParams", [("m", int), ("L", int), ("B", int)])):
@@ -104,21 +107,22 @@ def _log2_lower(p: WParams) -> float:
     return max(m * math.log2(min(B, L // m) + 1), _log2_comb(m, min(L, m // 2)) if B else 0.0)
 
 
-def _refuse_past_cap(n: int, what: str, exact: bool = True) -> None:
-    """Raise ``EnumerationCapError`` when n (or, not exact, at least n) exceeds ``ENUM_CAP``."""
+def _refuse_past_cap(n: int, what: str) -> None:
+    """Raise ``EnumerationCapError`` when the exact count n exceeds ``ENUM_CAP``."""
     if n > ENUM_CAP:
-        raise EnumerationCapError(n, what, exact)
+        raise EnumerationCapError(n, what)
 
 
 def _check_cap(p: WParams, power: int, what: str, per: int = 1) -> None:
-    """Refuse per * |W(m, L, B)|**power past ``ENUM_CAP``.
-
-    Checked first, in O(1), on ``_log2_lower``, then on the exact count,
-    which is cheap once the bound passes: at most 10^4 units of estimated
-    work over m <= 10^8, L <= 10^12 and B <= 10^15.
+    """Refuse per * |W(m, L, B)|**power past ``ENUM_CAP``: first, in O(1), on
+    the lower bound per << shift from ``_log2_lower``, by its shift alone past
+    the cap's bits, never built; then on the exact count, cheap once that
+    bound passes (at most 10^4 units of estimated work over m <= 10^8,
+    L <= 10^12 and B <= 10^15).
     """
-    # a bit of margin for the floats
-    _refuse_past_cap(per << power * max(0, math.floor(_log2_lower(p)) - 1), what, exact=False)
+    shift = power * max(0, math.floor(_log2_lower(p)) - 1)  # a bit of margin for the floats
+    if shift >= ENUM_CAP.bit_length() or per << shift > ENUM_CAP:
+        raise EnumerationCapError(per, what, exact=False, shift=shift)
     _refuse_past_cap(per * _count(p.m, p.L, p.B) ** power, what)
 
 

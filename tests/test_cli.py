@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -420,6 +421,25 @@ def test_enumerate_refuses_far_past_cap_before_counting_exit_2(capsys, monkeypat
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "exceeds the cap of 10000000" in err
+
+
+def test_enumerate_refuses_on_the_bound_without_building_it_exit_2(capsys, monkeypatch):
+    # the lower bound m * 2^(m-1) of W(10^11, 10^11, 1)'s coordinates has
+    # 10^11 bits, 12.5 GB as an integer: decided by its bits, never built
+    def no_call(*args):
+        raise AssertionError("counted exactly past the cap")
+
+    monkeypatch.setattr(wcount, "_count", no_call)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "enumerate", "--m", str(10**11), "--L", str(10**11), "--B", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "at least a 100,000,000,036-bit number of coordinates" in err
+    assert peak < 2**20
 
 
 def test_bound_refuses_past_q_digit_limit_exit_2(capsys, monkeypatch):
