@@ -125,16 +125,15 @@ def _cmd_verify(args) -> int:
             "the grid is empty: need --max-m >= 0, --max-L >= 0 and --max-B >= 1, got "
             f"{args.max_m}, {args.max_L} and {args.max_B}"
         )
+    construct._check_pairs(wcount.WParams(args.max_m, args.max_L, args.max_B))  # the grid's largest triple
     checked = []
-    all_pass = True
     for m in range(args.max_m + 1):
         for L in range(args.max_L + 1):
             for B in range(1, args.max_B + 1):
                 s, d, g = construct.verify_triple(wcount.WParams(m, L, B))
-                row = {"m": m, "L": L, "B": B, "sumset_identity": s, "diffset_identity": d, "injective_g": g}
-                all_pass = all_pass and s and d and g
-                checked.append(row)
+                checked.append({"m": m, "L": L, "B": B, "sumset_identity": s, "diffset_identity": d, "injective_g": g})
         print(f"verified m={m}", file=sys.stderr)
+    all_pass = all(r["sumset_identity"] and r["diffset_identity"] and r["injective_g"] for r in checked)
     _emit(
         "verify",
         {"max_m": args.max_m, "max_L": args.max_L, "max_B": args.max_B},

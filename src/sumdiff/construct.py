@@ -18,17 +18,16 @@ with |U|^2 held to the enumeration cap before any pair is formed.
 ``verify_triple`` checks both identities and the injectivity of g at desk
 scale in one pass: it enumerates W once, encodes each vector once by g and
 once packed in the base 2B + 3, and counts distinct sums and differences
-over the packed vectors and over their images.  It holds |W|^2 pairs to the
-cap before it enumerates anything.  Both paths form only the pairs i <= j
-(``_sums``, ``_low_diffs``), since x + y = y + x and, over sorted items,
-x_j - x_i is the negation of x_i - x_j.
+over the packed vectors and over their images.  Both paths form only the
+pairs i <= j (``_sums``, ``_low_diffs``), since x + y = y + x and, over
+sorted items, x_j - x_i is the negation of x_i - x_j.
 """
 import math
 from itertools import combinations_with_replacement, pairwise, starmap
 from operator import add, sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .exactcount import _check_work, _count
+from .exactcount import _counts
 from .wcount import (
     CountValue,
     LatticeVector,
@@ -166,15 +165,12 @@ def diff_count(p: WParams) -> CountValue:
 
     over the number k of negative coordinates of a difference vector: their
     magnitudes less 1 each form a member of W(k, L-k, B-1), and the other m-k
-    coordinates a member of W(m-k, L, B).  ``exactcount._check_work``
-    checks these 2(min(m, L) + 1) counts together before any starts.
+    coordinates a member of W(m-k, L, B).  These 2(min(m, L) + 1) counts
+    are one batch of ``exactcount._counts``, refused together before any starts.
     """
     if p.B < 1:
         raise ValueError("the convolution formula needs B >= 1")
-    counts = _convolution(p)
-    _check_work(counts)
-    pairs = zip(counts[::2], counts[1::2])
-    return CountValue.of(sum(math.comb(p.m, neg.m) * _count(*neg) * _count(*rest) for neg, rest in pairs))
+    return CountValue.of(_convolve(p.m, _counts(_convolution(p))))
 
 
 def _convolution(p: WParams) -> list[WParams]:
@@ -182,9 +178,9 @@ def _convolution(p: WParams) -> list[WParams]:
     return [q for k in range(min(p.m, p.L) + 1) for q in (WParams(k, p.L - k, p.B - 1), WParams(p.m - k, p.L, p.B))]
 
 
-def _doubled(p: WParams) -> WParams:
-    """(m, 2L, 2B), whose W counts U + U."""
-    return WParams(p.m, 2 * p.L, 2 * p.B)
+def _convolve(m: int, counts: Iterator[int]) -> int:
+    """sum_k C(m, k) |W(k, L-k, B-1)| |W(m-k, L, B)|, over the counts of ``_convolution`` taken two at a time."""
+    return sum(math.comb(m, k) * neg * rest for k, (neg, rest) in enumerate(zip(counts, counts)))
 
 
 def max_U(p: WParams) -> int:
@@ -212,8 +208,8 @@ def theta_bound(p: WParams) -> BoundReport:
     Equal, field for field and bit for bit in theta, to
     ``theta_bound_exact(build_U(p))``, with no set built and no pair formed.
     Raises ``ValueError`` before counting when m*log10(2B+1) exceeds
-    ``MAX_Q_DIGITS`` or ``exactcount._check_work`` refuses its counts
-    together: |U|, |U+U| and the |U-U| convolution's.
+    ``MAX_Q_DIGITS`` or ``exactcount._counts`` refuses its counts, one
+    batch: |U|, |U+U| and the |U-U| convolution's, convolved here.
     """
     if min(p) < 1:  # then max U = 0
         raise ValueError("U = {0} has no meaningful scale (log q = 0)")
@@ -223,30 +219,36 @@ def theta_bound(p: WParams) -> BoundReport:
             f"m*log10(2B+1) = {digits:.0f} exceeds the counted bound's limit of "
             f"{MAX_Q_DIGITS} decimal digits of q"
         )
-    _check_work([p, _doubled(p), *_convolution(p)])
-    return _report(count_W(p).exact, diff_count(p).exact, count_W(_doubled(p)).exact, 2 * max_U(p) + 1)
+    counts = _counts([p, WParams(p.m, 2 * p.L, 2 * p.B), *_convolution(p)])  # |U|, |U+U|, then |U-U|'s terms
+    n, s = next(counts), next(counts)
+    return _report(n, _convolve(p.m, counts), s, 2 * max_U(p) + 1)
+
+
+def _check_pairs(p: WParams) -> None:
+    """Refuse past ``ENUM_CAP`` the max(m, 1)|W|^2 coordinates of ``verify_triple``'s pairs, before any is formed."""
+    _check_cap(p, 2, "pair coordinates", max(p.m, 1))
 
 
 def verify_triple(p: WParams) -> tuple[bool, bool, bool]:
     """Check (sumset identity, difference-set identity, injectivity of g) on p.
 
     U + U and U - U are counted over the images g(x) and compared with
-    ``count_W(_doubled(p))`` and ``diff_count(p)``; g is injective on W+W and
-    W-W exactly when those counts equal the ones over the vectors, whose sums
-    and differences are taken on their ``_pack``ed base-(2B+3) values, a
-    map apart from g.  B >= 1 and |W|^2 <= ``ENUM_CAP`` are checked before
-    anything is enumerated; that also bounds |W|, so W is enumerated with no
-    second check.
+    |W(m, 2L, 2B)| and ``diff_count(p)``; g is injective on W+W and W-W
+    exactly when those counts equal the ones over the vectors, whose sums and
+    differences are taken on their ``_pack``ed base-(2B+3) values, a map
+    apart from g.  B >= 1 and ``_check_pairs`` come before anything is
+    enumerated; the latter bounds max(m, 1)|W| too, so W is enumerated with
+    no second check.
     """
     if p.B < 1:
         raise ValueError("the difference-set convolution needs B >= 1")
-    _check_cap(p, 2, "pairs")
+    _check_pairs(p)
     vectors = list(_vectors(*p))
     images = [encode_g(x, p.B) for x in vectors]
     packed = _pack(vectors, p.B)
     sums, low = len(_sums(images)), len(_low_diffs(images))  # W holds 0: images is nonempty
     return (
-        sums == count_W(_doubled(p)).exact,
+        sums == count_W(WParams(p.m, 2 * p.L, 2 * p.B)).exact,
         2 * low - 1 == diff_count(p).exact,
         sums == len(_sums(packed)) and low == len(_low_diffs(packed)),
     )

@@ -5,15 +5,15 @@ coordinates that exceed B.  ``_count`` sums its terms swept down from the
 last, in blocks with one pair of big-integer divisions a block and as many
 steps a block as the width of a ratio factor allows (one, past
 ``_WIDE_BITS``); ``_count_work`` estimates that work in O(1) float
-arithmetic.  The work limit lives here alone: ``_check_work`` refuses a
-batch of counts -- one in ``_count``, a bound's or a convolution's in
-``construct`` -- whose estimates sum past ``MAX_COUNT_WORK``, at O(1) a count.
+arithmetic.  ``_counts`` is the one way in: ``_check_work`` prices its batch
+once -- one count for ``count_W``, a convolution's for ``diff_count``, a
+bound's for ``theta_bound`` -- and refuses it past ``MAX_COUNT_WORK``.
 Kept apart from ``wcount`` so that each module compiles on its own: a cold
 ``count`` with no cached bytecode compiles both, and its peak memory is the
 larger compile's, not their sum.
 """
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 
 #: bit budget of a block's divisor, the product of its ratio denominators
@@ -59,10 +59,7 @@ def _check_work(triples: Sequence[tuple[int, int, int]]) -> None:
     each estimate is below z^3, so a batch whose z^3 sum is within the
     limit skips the estimates.
     """
-    z3 = 0  # a loop, not sum() over a generator: a third cheaper on one tiny count
-    for m, L, B in triples:
-        z3 += (m * (min(L, m * B) + m).bit_length()) ** 3
-    if z3 <= MAX_COUNT_WORK:
+    if sum((m * (min(L, m * B) + m).bit_length()) ** 3 for m, L, B in triples) <= MAX_COUNT_WORK:
         return
     work = 0.0
     for p in triples:
@@ -82,9 +79,8 @@ def _count(m: int, L: int, B: int) -> int:
     the bits that bound every ratio factor, so a block's ratio denominators
     multiply to under ``_BLOCK_BITS`` bits and it divides the big terms
     twice, not once a step; past ``_WIDE_BITS`` of width a block is one
-    step.  Refused by ``_check_work`` before counting.
+    step.  Unchecked: reached only through ``_counts``.
     """
-    _check_work(((m, L, B),))
     L = min(L, m * B)
     s = B + 1
     K = min(m, L // s)
@@ -124,3 +120,9 @@ def _count(m: int, L: int, B: int) -> int:
         P = Q = 1
         T = -1
     return total
+
+
+def _counts(triples: Sequence[tuple[int, int, int]]) -> Iterator[int]:
+    """|W(m, L, B)| of each triple, counted as taken, once ``_check_work`` has passed them all."""
+    _check_work(triples)
+    return (_count(*t) for t in triples)

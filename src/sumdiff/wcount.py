@@ -11,7 +11,7 @@ built: in O(1) on a lower bound of |W|, then on the exact count.
 import math
 from typing import Iterator, NamedTuple
 
-from .exactcount import _count, _log2_comb
+from .exactcount import _counts, _log2_comb
 
 #: coordinate vector of a lattice point
 LatticeVector = tuple[int, ...]
@@ -65,12 +65,8 @@ class CountValue(NamedTuple):
 
 
 def count_W(p: WParams) -> CountValue:
-    """Exact |W(m, L, B)| by inclusion-exclusion (see ``exactcount._count``).
-
-    Saturates the sum bound at m*B first; counts are invariant under that
-    replacement.
-    """
-    return CountValue.of(_count(p.m, p.L, p.B))
+    """Exact |W(m, L, B)| by inclusion-exclusion, a batch of one for ``exactcount._counts``."""
+    return CountValue.of(next(_counts([p])))
 
 
 def _vectors(m: int, L: int, B: int) -> Iterator[LatticeVector]:
@@ -123,7 +119,7 @@ def _check_cap(p: WParams, power: int, what: str, per: int = 1) -> None:
     shift = power * max(0, math.floor(_log2_lower(p)) - 1)  # a bit of margin for the floats
     if shift >= ENUM_CAP.bit_length() or per << shift > ENUM_CAP:
         raise EnumerationCapError(per, what, exact=False, shift=shift)
-    _refuse_past_cap(per * _count(p.m, p.L, p.B) ** power, what)
+    _refuse_past_cap(per * count_W(p).exact ** power, what)
 
 
 def enumerate_W(p: WParams) -> list[LatticeVector]:
@@ -147,4 +143,4 @@ def log_count_rate(m: int, r: float, B: int) -> float:
         raise ValueError(f"r must be a positive finite real, got {r!r}")
     # saturated before floor, which an r*m past the float range would overflow
     L = m * B if r >= B else math.floor(r * m)
-    return math.log(_count(m, L, B)) / m
+    return count_W(WParams(m, L, B)).log_value / m

@@ -114,12 +114,26 @@ def test_verify_fails_exit_1(capsys, monkeypatch):
 
 
 def test_verify_cap_exit_2(capsys, monkeypatch):
-    # W(2, 1, 1) has 3 vectors, so 9 pairs
+    # W(2, 1, 1) has 3 vectors, so 9 pairs of 2 coordinates each
     monkeypatch.setattr(wcount, "ENUM_CAP", 8)
     code, out, err = run(capsys, "verify", "--max-m", "2", "--max-L", "1", "--max-B", "1")
     assert code == 2
     assert out == ""
-    assert "9 pairs exceeds the cap of 8" in err
+    assert "18 pair coordinates exceeds the cap of 8" in err
+
+
+def test_verify_refuses_a_grid_past_the_cap_at_once_exit_2(capsys, monkeypatch):
+    # W(1000, 1, 1) has 1001 vectors: about 10^6 pairs, each of 1000 coordinates;
+    # held to pairs alone this grid was accepted, to run for tens of minutes
+    def no_call(*args):
+        raise AssertionError("enumerated past the pair cap")
+
+    monkeypatch.setattr(construct, "_vectors", no_call)
+    code, out, err = run(capsys, "verify", "--max-m", "1000", "--max-L", "1", "--max-B", "1")
+    assert code == 2
+    assert out == ""
+    # refused on the grid's largest triple, before any triple is verified
+    assert err.startswith("error: ") and "pair coordinates exceeds the cap of 10000000" in err
 
 
 def test_verify_enumerates_once_per_triple(capsys, monkeypatch):
@@ -130,7 +144,9 @@ def test_verify_enumerates_once_per_triple(capsys, monkeypatch):
     code, _ = run_json(capsys, "verify", "--max-m", "2", "--max-L", "2", "--max-B", "2")
     assert code == 0
     assert len(calls) == len(set(calls)) == 3 * 3 * 2
-    assert len(checks) == len({args[0] for args in checks}) == 3 * 3 * 2
+    # the grid's largest triple first, then each triple once
+    assert checks[0][0] == (2, 2, 2)
+    assert len(checks) - 1 == len({args[0] for args in checks[1:]}) == 3 * 3 * 2
 
 
 @pytest.mark.parametrize(
@@ -358,11 +374,11 @@ def test_bound_counts_past_pair_cap(capsys):
 def test_bound_refuses_past_convolution_limit_exit_2(capsys, monkeypatch):
     # 8,004 exact counts past the work limit; under the earlier limit of 4,000
     # convolution terms this input ran for 35-85 s
-    def no_call(p):
+    def no_call(*args):
         raise AssertionError("counted past the work limit")
 
-    for name in ("count_W", "diff_count", "max_U"):
-        monkeypatch.setattr(construct, name, no_call)
+    monkeypatch.setattr(exactcount, "_count", no_call)
+    monkeypatch.setattr(construct, "max_U", no_call)
     code, out, err = run(capsys, "bound", "--m", "4000", "--L", "8000", "--B", "5")
     assert code == 2
     assert out == ""
@@ -416,7 +432,7 @@ def test_enumerate_refuses_far_past_cap_before_counting_exit_2(capsys, monkeypat
     def no_call(*args):
         raise AssertionError("counted exactly past the cap")
 
-    monkeypatch.setattr(wcount, "_count", no_call)
+    monkeypatch.setattr(exactcount, "_count", no_call)
     code, out, err = run(capsys, "enumerate", "--m", "80000", "--L", "80000", "--B", "3")
     assert code == 2
     assert out == ""
@@ -429,7 +445,7 @@ def test_enumerate_refuses_on_the_bound_without_building_it_exit_2(capsys, monke
     def no_call(*args):
         raise AssertionError("counted exactly past the cap")
 
-    monkeypatch.setattr(wcount, "_count", no_call)
+    monkeypatch.setattr(exactcount, "_count", no_call)
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "enumerate", "--m", str(10**11), "--L", str(10**11), "--B", "1")
@@ -444,11 +460,11 @@ def test_enumerate_refuses_on_the_bound_without_building_it_exit_2(capsys, monke
 
 def test_bound_refuses_past_q_digit_limit_exit_2(capsys, monkeypatch):
     # q = 2*max(U) + 1 would have about 312,000 digits, and printing it is quadratic
-    def no_call(p):
+    def no_call(*args):
         raise AssertionError("counted past the q-digit limit")
 
     monkeypatch.setattr(construct, "max_U", no_call)
-    monkeypatch.setattr(construct, "diff_count", no_call)
+    monkeypatch.setattr(exactcount, "_count", no_call)
     code, out, err = run(capsys, "bound", "--m", "300000", "--L", "5", "--B", "5")
     assert code == 2
     assert out == ""

@@ -23,7 +23,7 @@ from sumdiff.construct import (
     verify_sumset_identity,
     verify_triple,
 )
-from sumdiff.wcount import CountValue, EnumerationCapError, WParams, count_W, enumerate_W
+from sumdiff.wcount import EnumerationCapError, WParams, count_W, enumerate_W, log_count_rate
 
 from oracles import colliding_g, full_pairs
 
@@ -123,7 +123,7 @@ class TestThetaBound:
         with pytest.raises(EnumerationCapError):
             diffset((0, 1, 3))
         with pytest.raises(EnumerationCapError):
-            verify_injectivity(WParams(2, 1, 1), "g")  # 3 vectors, 9 pairs
+            verify_injectivity(WParams(2, 1, 1), "g")  # 3 vectors, 9 pairs of 2 coordinates
         monkeypatch.setattr(wcount, "ENUM_CAP", 9)
         assert len(sumset((0, 1, 3))) == 6
         assert len(diffset((0, 1, 3))) == 7
@@ -190,8 +190,7 @@ class TestWorkLimit:
         def no_call(*args):
             raise AssertionError("counted past the work limit")
 
-        monkeypatch.setattr(wcount, "_count", no_call)
-        monkeypatch.setattr(construct, "_count", no_call)
+        monkeypatch.setattr(exactcount, "_count", no_call)
         monkeypatch.setattr(construct, "max_U", no_call)
         with pytest.raises(ValueError, match="units of work"):
             theta_bound(p)
@@ -199,8 +198,7 @@ class TestWorkLimit:
     def test_baseline_accepted(self, monkeypatch):
         # bound --m 4000 --L 3220 --B 5 runs in seconds, not minutes: it stays
         # accepted; the counts are stubbed, so only the work check runs
-        monkeypatch.setattr(construct, "count_W", lambda p: CountValue.of(1))
-        monkeypatch.setattr(construct, "diff_count", lambda p: CountValue.of(1))
+        monkeypatch.setattr(exactcount, "_count", lambda m, L, B: 1)
         monkeypatch.setattr(construct, "max_U", lambda p: 1)
         theta_bound(WParams(4000, 3220, 5))
         theta_bound(WParams(1000, 805, 5))
@@ -213,9 +211,27 @@ class TestWorkLimit:
         def no_call(*args):
             raise AssertionError("counted past the work limit")
 
-        monkeypatch.setattr(construct, "_count", no_call)
+        monkeypatch.setattr(exactcount, "_count", no_call)
         with pytest.raises(ValueError, match="8002 exact counts: .* units of work"):
             diff_count(WParams(4000, 8000, 5))
+
+    @pytest.mark.parametrize("call, batch", [
+        (count_W, lambda p: [p]),
+        (lambda p: log_count_rate(p.m, 0.8, p.B), lambda p: [(p.m, 240, p.B)]),
+        (diff_count, construct._convolution),
+        (theta_bound, lambda p: [p, (p.m, 2 * p.L, 2 * p.B), *construct._convolution(p)]),
+    ])
+    def test_each_call_prices_its_counts_once(self, monkeypatch, call, batch):
+        # one work check a call, and each count of its batch estimated once; |U| =
+        # |W(m, L, B)| is also the convolution's k = 0 term, so a bound counts it twice
+        checks, estimates = [], []
+        check_work, count_work = exactcount._check_work, exactcount._count_work
+        monkeypatch.setattr(exactcount, "_check_work", lambda t: checks.append(t) or check_work(t))
+        monkeypatch.setattr(exactcount, "_count_work", lambda *t: estimates.append(t) or count_work(*t))
+        p = WParams(300, 241, 5)  # m*bits(L+m) cubed is past the limit alone: no batch skips the estimates
+        call(p)
+        assert len(checks) == 1
+        assert sorted(estimates) == sorted(map(tuple, batch(p)))
 
     def test_diff_count_on_the_verify_grid(self):
         # against every pair of U; test_matches_brute_force has the certificate triples
@@ -255,15 +271,26 @@ class TestIdentities:
         monkeypatch.setattr(construct, "_vectors", no_call)
         with pytest.raises(EnumerationCapError) as exc:
             verify_triple(WParams(10, 15, 3))
-        assert (exc.value.count, exc.value.cap) == (582_440**2, 10**7)
+        assert (exc.value.count, exc.value.cap) == (10 * 582_440**2, 10**7)
+
+    def test_pair_coordinates_held_to_the_cap(self, monkeypatch):
+        # |W(1300, 1, 1)| = 1301, so 1.7e6 pairs but 2.2e9 coordinates, each pair
+        # a 1300-digit integer: held to pairs alone it took 2.55 s and 338 MB
+        def no_call(*args):
+            raise AssertionError("enumerated past the pair cap")
+
+        monkeypatch.setattr(construct, "_vectors", no_call)
+        with pytest.raises(EnumerationCapError, match="pair coordinates") as exc:
+            verify_triple(WParams(1300, 1, 1))
+        assert exc.value.count > exc.value.cap
 
     def test_pair_cap_refused_on_a_lower_bound(self, monkeypatch):
         # |W(80000, 80000, 3)| is an exact count of over a second: refused without it
         def no_call(*args):
             raise AssertionError("counted exactly past the pair cap")
 
-        monkeypatch.setattr(wcount, "_count", no_call)
-        with pytest.raises(EnumerationCapError, match="at least a .* pairs") as exc:
+        monkeypatch.setattr(exactcount, "_count", no_call)
+        with pytest.raises(EnumerationCapError, match="at least a .* pair coordinates") as exc:
             verify_triple(WParams(80000, 80000, 3))
         assert not exc.value.exact
         assert exc.value.count > 10**7

@@ -223,7 +223,7 @@ class TestEnumerateW:
         # the cube {0, 1}^9000 in W(9000, 9000, 3): at least 9000 * 2^8999
         # coordinates, refused with no exact count
         with monkeypatch.context() as patched, pytest.raises(EnumerationCapError) as exc:
-            patched.setattr(wcount, "_count", _no_call)
+            patched.setattr(exactcount, "_count", _no_call)
             enumerate_W(WParams(9000, 9000, 3))
         assert (exc.value.count, exc.value.exact) == (9000 << 8999, False)
         assert str(exc.value) == (
