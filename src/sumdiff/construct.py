@@ -8,24 +8,25 @@ U = g(W(m,L,B)) equal lattice counts:
     |U+U| = |W(m, 2L, 2B)|
     |U-U| = sum_k C(m,k) |W(k, L-k, B-1)| |W(m-k, L, B)|
 
-``theta_bound`` certifies the exponent bound of U from these counts and a
+``_counted`` takes |U|, |U+U| and |U-U| from one batch of exact counts, each
+once.  ``theta_bound`` certifies the exponent bound of U from them and a
 greedy fill of the top digits for max U, without building U or forming a
 pair; it refuses at once a q = 2*max(U) + 1 of more than ``MAX_Q_DIGITS``
 decimal digits, since printing it takes time quadratic in them.  The
-brute-force path (``build_U``, ``sumset``, ``diffset``,
-``theta_bound_exact``) is its oracle: it enumerates U and forms its pairs,
-with |U|^2 held to the enumeration cap before any pair is formed.
-``verify_triple`` checks both identities and the injectivity of g at desk
-scale in one pass: it enumerates W once, encodes each vector once by g and
-once packed in the base 2B + 3, and counts distinct sums and differences
-over the packed vectors and over their images.  Both paths form only the
-pairs i <= j (``_sums``, ``_low_diffs``), since x + y = y + x and, over
-sorted items, x_j - x_i is the negation of x_i - x_j.
+brute-force path (``build_U``, ``sumset``, ``diffset``, ``theta_bound_exact``)
+is its oracle: it enumerates U and forms its pairs, with |U|^2 held to the
+enumeration cap before any pair is formed.  ``verify_triple`` checks both
+identities and the injectivity of g at desk scale in one pass: it enumerates
+W once, encodes each vector once by g and once packed in the base 2B + 3,
+and counts distinct sums and differences over the packed vectors and over
+their images.  Both paths form only the pairs i <= j (``_sums``,
+``_low_diffs``), since x + y = y + x and, over sorted items, x_j - x_i is the
+negation of x_i - x_j.
 """
 import math
 from itertools import combinations_with_replacement, pairwise, starmap
 from operator import add, sub
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .exactcount import _counts
 from .wcount import (
@@ -35,7 +36,6 @@ from .wcount import (
     _check_cap,
     _refuse_past_cap,
     _vectors,
-    count_W,
     enumerate_W,
 )
 
@@ -89,7 +89,7 @@ def build_U(p: WParams) -> IntegerSet:
     vectors = enumerate_W(p)
     if p.m == 0 or p.B == 0:
         return (0,)
-    U = tuple(sorted(encode_g(x, p.B) for x in vectors))
+    U = tuple(sorted({encode_g(x, p.B) for x in vectors}))
     if len(U) != len(vectors):
         raise AssertionError(f"digit map collided on W{(p.m, p.L, p.B)}")
     return U
@@ -158,6 +158,21 @@ def theta_bound_exact(U: IntegerSet) -> BoundReport:
     return _report(len(U), 2 * len(_low_diffs(U)) - 1, len(_sums(U)), 2 * max(U) + 1)
 
 
+def _counted(p: WParams) -> tuple[int, int, int]:
+    """(|U|, |U-U|, |U+U|) of U = g(W(m, L, B)), B >= 1, from one ``_counts`` batch.
+
+    W(m, 2L, 2B), W(m, L, B), then W(k, L-k, B-1) and W(m-k, L, B) for k = 1..min(m, L):
+    |U| is the k = 0 term, as |W(0, L, B-1)| = 1, and C(m, k) is stepped from C(m, k-1)."""
+    m, L, B = p
+    pairs = ((WParams(k, L - k, B - 1), WParams(m - k, L, B)) for k in range(1, min(m, L) + 1))
+    counts = _counts([WParams(m, 2 * L, 2 * B), p, *(q for pair in pairs for q in pair)])
+    s, n, c, d = next(counts), next(counts), 1, 0  # |U+U|, then |U|: the k = 0 term
+    for k, (neg, rest) in enumerate(zip(counts, counts), 1):
+        c = c * (m - k + 1) // k
+        d += c * neg * rest
+    return n, n + d, s
+
+
 def diff_count(p: WParams) -> CountValue:
     """|U-U| for U = g(W(m, L, B)), by the convolution
 
@@ -165,22 +180,12 @@ def diff_count(p: WParams) -> CountValue:
 
     over the number k of negative coordinates of a difference vector: their
     magnitudes less 1 each form a member of W(k, L-k, B-1), and the other m-k
-    coordinates a member of W(m-k, L, B).  These 2(min(m, L) + 1) counts
-    are one batch of ``exactcount._counts``, refused together before any starts.
+    coordinates a member of W(m-k, L, B).  Counted by ``_counted``, one batch
+    of 2*min(m, L) + 2 counts refused together before any starts.
     """
     if p.B < 1:
         raise ValueError("the convolution formula needs B >= 1")
-    return CountValue.of(_convolve(p.m, _counts(_convolution(p))))
-
-
-def _convolution(p: WParams) -> list[WParams]:
-    """The triples of diff_count's convolution, W(k, L-k, B-1) then W(m-k, L, B) for each k."""
-    return [q for k in range(min(p.m, p.L) + 1) for q in (WParams(k, p.L - k, p.B - 1), WParams(p.m - k, p.L, p.B))]
-
-
-def _convolve(m: int, counts: Iterator[int]) -> int:
-    """sum_k C(m, k) |W(k, L-k, B-1)| |W(m-k, L, B)|, over the counts of ``_convolution`` taken two at a time."""
-    return sum(math.comb(m, k) * neg * rest for k, (neg, rest) in enumerate(zip(counts, counts)))
+    return CountValue.of(_counted(p)[1])
 
 
 def max_U(p: WParams) -> int:
@@ -208,8 +213,8 @@ def theta_bound(p: WParams) -> BoundReport:
     Equal, field for field and bit for bit in theta, to
     ``theta_bound_exact(build_U(p))``, with no set built and no pair formed.
     Raises ``ValueError`` before counting when m*log10(2B+1) exceeds
-    ``MAX_Q_DIGITS`` or ``exactcount._counts`` refuses its counts, one
-    batch: |U|, |U+U| and the |U-U| convolution's, convolved here.
+    ``MAX_Q_DIGITS`` or ``exactcount._counts`` refuses the batch of
+    ``_counted``, its 2*min(m, L) + 2 counts.
     """
     if min(p) < 1:  # then max U = 0
         raise ValueError("U = {0} has no meaningful scale (log q = 0)")
@@ -219,9 +224,7 @@ def theta_bound(p: WParams) -> BoundReport:
             f"m*log10(2B+1) = {digits:.0f} exceeds the counted bound's limit of "
             f"{MAX_Q_DIGITS} decimal digits of q"
         )
-    counts = _counts([p, WParams(p.m, 2 * p.L, 2 * p.B), *_convolution(p)])  # |U|, |U+U|, then |U-U|'s terms
-    n, s = next(counts), next(counts)
-    return _report(n, _convolve(p.m, counts), s, 2 * max_U(p) + 1)
+    return _report(*_counted(p), 2 * max_U(p) + 1)
 
 
 def _check_pairs(p: WParams) -> None:
@@ -233,7 +236,7 @@ def verify_triple(p: WParams) -> tuple[bool, bool, bool]:
     """Check (sumset identity, difference-set identity, injectivity of g) on p.
 
     U + U and U - U are counted over the images g(x) and compared with
-    |W(m, 2L, 2B)| and ``diff_count(p)``; g is injective on W+W and W-W
+    |W(m, 2L, 2B)| and the convolution, one ``_counted`` batch; g is injective on W+W and W-W
     exactly when those counts equal the ones over the vectors, whose sums and
     differences are taken on their ``_pack``ed base-(2B+3) values, a map
     apart from g.  B >= 1 and ``_check_pairs`` come before anything is
@@ -247,11 +250,8 @@ def verify_triple(p: WParams) -> tuple[bool, bool, bool]:
     images = [encode_g(x, p.B) for x in vectors]
     packed = _pack(vectors, p.B)
     sums, low = len(_sums(images)), len(_low_diffs(images))  # W holds 0: images is nonempty
-    return (
-        sums == count_W(WParams(p.m, 2 * p.L, 2 * p.B)).exact,
-        2 * low - 1 == diff_count(p).exact,
-        sums == len(_sums(packed)) and low == len(_low_diffs(packed)),
-    )
+    _, d, s = _counted(p)
+    return sums == s, 2 * low - 1 == d, sums == len(_sums(packed)) and low == len(_low_diffs(packed))
 
 
 def verify_sumset_identity(p: WParams) -> bool:

@@ -6,8 +6,8 @@ last, in blocks with one pair of big-integer divisions a block and as many
 steps a block as the width of a ratio factor allows (one, past
 ``_WIDE_BITS``); ``_count_work`` estimates that work in O(1) float
 arithmetic.  ``_counts`` is the one way in: ``_check_work`` prices its batch
-once -- one count for ``count_W``, a convolution's for ``diff_count``, a
-bound's for ``theta_bound`` -- and refuses it past ``MAX_COUNT_WORK``.
+once -- one count for ``count_W``, |U+U|, |U| and the |U-U| convolution's
+for ``construct._counted`` -- and refuses it past ``MAX_COUNT_WORK``.
 Kept apart from ``wcount`` so that each module compiles on its own: a cold
 ``count`` with no cached bytecode compiles both, and its peak memory is the
 larger compile's, not their sum.
@@ -123,6 +123,10 @@ def _count(m: int, L: int, B: int) -> int:
 
 
 def _counts(triples: Sequence[tuple[int, int, int]]) -> Iterator[int]:
-    """|W(m, L, B)| of each triple, counted as taken, once ``_check_work`` has passed them all."""
+    """|W(m, L, B)| of each triple, counted as taken, once ``_check_work`` has passed them all.
+
+    Callers pass every count of one call as one batch, each triple once: a
+    count of one for ``count_W``, 2*min(m, L) + 2 for ``construct._counted``.
+    """
     _check_work(triples)
     return (_count(*t) for t in triples)

@@ -372,7 +372,7 @@ def test_bound_counts_past_pair_cap(capsys):
 
 
 def test_bound_refuses_past_convolution_limit_exit_2(capsys, monkeypatch):
-    # 8,004 exact counts past the work limit; under the earlier limit of 4,000
+    # 8,002 exact counts past the work limit; under the earlier limit of 4,000
     # convolution terms this input ran for 35-85 s
     def no_call(*args):
         raise AssertionError("counted past the work limit")
@@ -383,13 +383,13 @@ def test_bound_refuses_past_convolution_limit_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
-    assert "8004 exact counts" in err and f"{exactcount.MAX_COUNT_WORK:.3g}" in err
+    assert "8002 exact counts" in err and f"{exactcount.MAX_COUNT_WORK:.3g}" in err
     # K = 0 and K = 1 at every count: the first binomials alone are past the limit
     for B in ("15001", "7500"):
         code, out, err = run(capsys, "bound", "--m", "15000", "--L", "15000", "--B", B)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "30004 exact counts" in err
+        assert err.startswith("error: ") and "30002 exact counts" in err
 
 
 def test_count_refuses_past_work_limit_exit_2(capsys, monkeypatch):

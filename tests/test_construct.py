@@ -25,7 +25,16 @@ from sumdiff.construct import (
 )
 from sumdiff.wcount import EnumerationCapError, WParams, count_W, enumerate_W, log_count_rate
 
-from oracles import colliding_g, full_pairs
+from oracles import colliding_g, count_row, full_pairs
+
+
+def bound_batch(p):
+    """The counts that ``_counted`` takes for p: |U+U|, |U|, then the convolution's terms at k >= 1."""
+    m, L, B = p
+    batch = [(m, 2 * L, 2 * B), (m, L, B)]
+    for k in range(1, min(m, L) + 1):
+        batch += [(k, L - k, B - 1), (m - k, L, B)]
+    return batch
 
 
 class TestEncodeG:
@@ -69,6 +78,12 @@ class TestBuildU:
             U = build_U(WParams(m, L, B))
             assert U[0] == 0
             assert U[-1] <= B * ((2 * B + 1) ** m - 1) // (2 * B)
+
+    def test_raises_on_a_map_that_collides_on_W(self, monkeypatch):
+        # W(2, 2, 1) = {00, 10, 01, 11}: the digit sums 0, 1, 1, 2 collide
+        monkeypatch.setattr(construct, "encode_g", lambda x, B: sum(x))
+        with pytest.raises(AssertionError, match="collided"):
+            build_U(WParams(2, 2, 1))
 
     def test_size_certifies_injectivity_on_W(self):
         for m, L, B in [(3, 4, 2), (4, 3, 1), (2, 6, 3)]:
@@ -167,6 +182,16 @@ class TestCountedBound:
         # the exact sandwich |U - U| <= 2^m |U + U|
         assert paired.d.exact <= 2**m * paired.s.exact
 
+    @pytest.mark.parametrize("m, L, B", [(120, 96, 5), (60, 90, 3), (80, 50, 1)])
+    def test_counted_past_brute_force(self, m, L, B):
+        # C(m, k) stepped against math.comb at each k, and every count against the
+        # peeling DP; L > m at (60, 90, 3), and each B - 1 factor is 1 at B = 1
+        d = sum(math.comb(m, k) * count_row(k, L, B - 1)[L - k] * count_row(m - k, L, B)[L]
+                for k in range(min(m, L) + 1))
+        n, s = count_row(m, L, B)[L], count_row(m, 2 * L, 2 * B)[2 * L]
+        assert construct._counted(WParams(m, L, B)) == (n, d, s)
+        assert (n, s) == (count_W(WParams(m, L, B)).exact, count_W(WParams(m, 2 * L, 2 * B)).exact)
+
     def test_finite_m_bound_grows_past_alphaevolve(self):
         # B = 5 with L near 0.8m, the best L of a scan at each m
         thetas = [theta_bound(WParams(m, L, 5)).theta for m, L in [(50, 42), (100, 82), (200, 164), (400, 320)]]
@@ -203,7 +228,7 @@ class TestWorkLimit:
         theta_bound(WParams(4000, 3220, 5))
         theta_bound(WParams(1000, 805, 5))
         monkeypatch.setattr(exactcount, "MAX_COUNT_WORK", 1e9)
-        with pytest.raises(ValueError, match="3204 exact counts"):
+        with pytest.raises(ValueError, match="3202 exact counts"):
             theta_bound(WParams(2000, 1600, 5))
 
     def test_diff_count_refused_before_counting(self, monkeypatch):
@@ -215,23 +240,42 @@ class TestWorkLimit:
         with pytest.raises(ValueError, match="8002 exact counts: .* units of work"):
             diff_count(WParams(4000, 8000, 5))
 
-    @pytest.mark.parametrize("call, batch", [
-        (count_W, lambda p: [p]),
-        (lambda p: log_count_rate(p.m, 0.8, p.B), lambda p: [(p.m, 240, p.B)]),
-        (diff_count, construct._convolution),
-        (theta_bound, lambda p: [p, (p.m, 2 * p.L, 2 * p.B), *construct._convolution(p)]),
-    ])
-    def test_each_call_prices_its_counts_once(self, monkeypatch, call, batch):
-        # one work check a call, and each count of its batch estimated once; |U| =
-        # |W(m, L, B)| is also the convolution's k = 0 term, so a bound counts it twice
+    @pytest.fixture
+    def priced(self, monkeypatch):
+        """(the batches given to the work check, the triples whose work it estimated), as they come."""
         checks, estimates = [], []
         check_work, count_work = exactcount._check_work, exactcount._count_work
-        monkeypatch.setattr(exactcount, "_check_work", lambda t: checks.append(t) or check_work(t))
+        monkeypatch.setattr(exactcount, "_check_work", lambda t: checks.append(list(t)) or check_work(t))
         monkeypatch.setattr(exactcount, "_count_work", lambda *t: estimates.append(t) or count_work(*t))
-        p = WParams(300, 241, 5)  # m*bits(L+m) cubed is past the limit alone: no batch skips the estimates
+        return checks, estimates
+
+    @pytest.mark.parametrize("call, batch", [
+        (count_W, lambda p: [p]),
+        (lambda p: log_count_rate(p.m, 0.8, p.B), lambda p: [p]),
+        (diff_count, bound_batch),
+        (theta_bound, bound_batch),
+    ])
+    def test_each_call_prices_its_counts_once(self, priced, call, batch):
+        # one work check a call, and each count of its batch estimated once: |U| =
+        # |W(m, L, B)| is the convolution's k = 0 term, and |W(0, L, B-1)| = 1 is not counted
+        checks, estimates = priced
+        p = WParams(300, 240, 5)  # m*bits(L+m) cubed is past the limit alone: no batch skips the estimates
         call(p)
-        assert len(checks) == 1
+        assert checks == [batch(p)]
         assert sorted(estimates) == sorted(map(tuple, batch(p)))
+        assert estimates.count(p) == 1 and (0, p.L, p.B - 1) not in estimates
+
+    def test_verify_prices_its_counts_once(self, priced, monkeypatch):
+        # the pair cap's exact |W| is a batch of one, then the identities' counts are
+        # one more.  Under a limit between the estimates' sum, 14.6 units, and the
+        # batch's z^3 sum, 2,969, the estimates run; the cap's z^3 = 729 still skips them
+        checks, estimates = priced
+        monkeypatch.setattr(exactcount, "MAX_COUNT_WORK", 1000)
+        p = WParams(3, 3, 2)
+        verify_triple(p)
+        assert checks == [[p], bound_batch(p)]
+        assert sorted(estimates) == sorted(bound_batch(p))
+        assert estimates.count(p) == 1 and (0, p.L, p.B - 1) not in estimates
 
     def test_diff_count_on_the_verify_grid(self):
         # against every pair of U; test_matches_brute_force has the certificate triples
